@@ -33,8 +33,32 @@ enter the right-hand side, so repeated same-topology solves — the
 fixed-point loop in :func:`repro.crossbar.sneak.solve_access`,
 per-input :meth:`repro.analog.crossbar.AnalogCrossbar.matvec`, the
 two-phase multistage readout — reuse the factorization instead of
-re-factoring.  Cache traffic is observable through the
-``crossbar_factorization_cache_total{result=hit|miss}`` counter.
+re-factoring.  An exact digest hit returns bit-identical results to
+the solve that cached the entry.
+
+Writes change the digest, but a single-cell write is only a rank-1
+change of the nodal matrix.  On a digest miss the cache therefore looks
+for a *real* (freshly factored) entry of the same structure — shape,
+driven lines, resistances, backend — whose conductances differ from
+the new ones in at most :data:`LOW_RANK_MAX` junctions, and caches a
+*derived* entry under the new digest.  It shares the base's LU and
+answers ``A' = A + U·D·Uᵀ`` (one ``e_i - e_j`` column of ``U`` per
+changed junction, ``D`` the conductance changes) through the Woodbury
+identity ``x = y - Z·(I + D·UᵀZ)⁻¹·D·Uᵀy`` with ``y = A⁻¹b`` and
+``Z = A⁻¹U``.  ``A`` is symmetric, so ``Uᵀy = Zᵀb`` and the correction
+is applied to the right-hand side instead, ``x = A⁻¹(b - U·(I +
+D·UᵀZ)⁻¹·D·Zᵀb)``: a read is one base solve plus a product over the
+few rows of ``Z`` where ``b`` is nonzero, not a pass over all of ``Z``.
+The base memoises its ``A⁻¹u`` columns per junction, so each further
+write costs one single-column solve, not a factorization.
+Derived entries never serve as bases, so error cannot compound along a
+chain of writes; past the cap (or when the small capacitance matrix
+``I + D·UᵀZ`` says the update would amplify rounding, see
+:data:`_UPDATE_GROWTH_MAX`) the system is factored afresh and becomes
+the next base.  Cache traffic is observable through the
+``crossbar_factorization_cache_total{result=hit|update|miss}``
+counter: ``miss`` counts real factorizations only, ``update`` derived
+entries.
 
 Both solvers return a :class:`CrossbarSolution` with node voltages, the
 junction current matrix, and per-line terminal currents.  Terminal
@@ -64,9 +88,10 @@ at ``wire_resistance >= 1e-6`` the agreement is ~1e-4 or better.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -97,6 +122,18 @@ DENSE_NODE_LIMIT = 16384
 #: Maximum number of memoised factorizations (LRU eviction beyond it).
 FACTORIZATION_CACHE_SIZE = 16
 
+#: Most junctions a derived (low-rank) cache entry may change against
+#: its base factorization; beyond it the system is factored afresh.
+LOW_RANK_MAX = 32
+
+#: A derived entry amplifies the base solve's rounding by up to about
+#: ``(‖C‖ + 1)·‖C⁻¹‖`` (2-norms) for its capacitance matrix
+#: ``C = I + D·UᵀZ``.  Writes to a well-driven array keep it near 2;
+#: past this bound — a write that brings the system close to singular,
+#: e.g. one that disconnects a floating line — the system is factored
+#: afresh instead.
+_UPDATE_GROWTH_MAX = 10.0
+
 _BACKENDS = ("auto", "sparse", "dense")
 
 _REGISTRY = get_registry()
@@ -116,6 +153,7 @@ _CACHE_LOOKUPS = _REGISTRY.counter(
     "wire-resistance factorization cache lookups by result")
 _CACHE_HIT = _CACHE_LOOKUPS.labels(result="hit")
 _CACHE_MISS = _CACHE_LOOKUPS.labels(result="miss")
+_CACHE_UPDATE = _CACHE_LOOKUPS.labels(result="update")
 
 
 def scipy_available() -> bool:
@@ -277,18 +315,26 @@ class _Factorization:
 
     ``solve`` maps a reduced right-hand side to the unknown-node
     voltages; ``a_up`` couples the unknowns to the pinned driver nodes
-    (None when drivers are resistive, i.e. stamped into the matrix).
+    (None when drivers are resistive, i.e. stamped into the matrix);
+    ``position`` maps every node to its reduced index (-1 = pinned).
+    A *real* entry keeps the conductances it factored (``g``) and
+    memoises ``A⁻¹u`` per junction cell (``columns``) for the derived
+    entries built on it; a derived entry has ``g=None`` and is never
+    used as a base.
     """
 
     backend: str
     n_nodes: int
     unknown: np.ndarray
     pinned: np.ndarray
+    position: np.ndarray
     driver_nodes: np.ndarray
     g_drv: Optional[float]
     a_red: object
     a_up: object
     solve: Callable[[np.ndarray], np.ndarray]
+    g: Optional[np.ndarray] = None
+    columns: Dict[int, np.ndarray] = field(default_factory=dict)
 
 
 _CACHE_LOCK = threading.Lock()
@@ -500,25 +546,159 @@ def _build_factorization(
         unknown = np.arange(n)
         a_red = a_full
         a_up = None
+    position = np.full(n, -1, dtype=np.intp)
+    position[unknown] = np.arange(unknown.size, dtype=np.intp)
     perm = None
     if backend == "sparse":
         # Map the grid nested-dissection node order onto the reduced
         # (unknown-only) index space, preserving ND order.
-        nd_nodes = _grid_nd_order(rows, cols)
-        position = np.full(n, -1, dtype=np.intp)
-        position[unknown] = np.arange(unknown.size, dtype=np.intp)
-        nd_positions = position[nd_nodes]
+        nd_positions = position[_grid_nd_order(rows, cols)]
         perm = nd_positions[nd_positions >= 0]
     return _Factorization(
         backend=backend,
         n_nodes=n,
         unknown=unknown,
         pinned=pinned,
+        position=position,
         driver_nodes=driver_nodes,
         g_drv=g_drv,
         a_red=a_red,
         a_up=a_up,
         solve=_make_solve(a_red, backend, perm),
+        g=g.copy(),
+    )
+
+
+def _ports(fact: _Factorization, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Reduced positions of the row-side and column-side node of each
+    junction in *cells* (flat ``r*cols + c`` indices); -1 = pinned."""
+    return fact.position[cells], fact.position[fact.n_nodes // 2 + cells]
+
+
+def _u_columns(pi: np.ndarray, pj: np.ndarray, n_unknown: int) -> np.ndarray:
+    """Dense ``(n_unknown, k)`` block whose column *k* is ``e_i - e_j``
+    over junction *k*'s two nodes, restricted to the unknowns."""
+    u = np.zeros((n_unknown, pi.size))
+    for ports, sign in ((pi, 1.0), (pj, -1.0)):
+        free = np.flatnonzero(ports >= 0)
+        u[ports[free], free] = sign
+    return u
+
+
+def _u_dot(x: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> np.ndarray:
+    """``Uᵀx`` for the junction ports *pi*, *pj*: per junction, the row
+    of *x* at its row-side node minus the row at its column-side node;
+    a port outside *x*'s index space (-1) adds nothing."""
+    out = np.zeros((pi.size,) + x.shape[1:])
+    for ports, sign in ((pi, 1.0), (pj, -1.0)):
+        free = ports >= 0
+        out[free] += sign * x[ports[free]]
+    return out
+
+
+def _u_add(out: np.ndarray, t: np.ndarray, pi: np.ndarray, pj: np.ndarray) -> None:
+    """``out += U·t`` in place for the junction ports *pi*, *pj* (the
+    transpose of :func:`_u_dot`); a port of -1 receives nothing."""
+    for ports, sign in ((pi, 1.0), (pj, -1.0)):
+        free = ports >= 0
+        out[ports[free]] += sign * t[free]
+
+
+class _Stamped:
+    """``base + P·diag(d)·Qᵀ``, applied lazily (only ``@`` is needed).
+
+    *rows* and *cols* are the ``(pi, pj)`` ports of the same junctions in
+    the matrix's row and column index spaces, so ``P`` and ``Q`` hold
+    their ``e_i - e_j`` columns.  A derived cache entry carries its
+    post-write ``a_red`` and ``a_up`` this way without copying the base
+    matrices.
+    """
+
+    def __init__(self, base, rows: Tuple[np.ndarray, np.ndarray],
+                 cols: Tuple[np.ndarray, np.ndarray], d: np.ndarray) -> None:
+        self.base = base
+        self.rows = rows
+        self.cols = cols
+        self.d = d
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        out = self.base @ x
+        d = self.d.reshape((-1,) + (1,) * (x.ndim - 1))
+        _u_add(out, d * _u_dot(x, *self.cols), *self.rows)
+        return out
+
+
+def _base_columns(
+    base: _Factorization, cells: np.ndarray, pi: np.ndarray, pj: np.ndarray
+) -> np.ndarray:
+    """``Z = A⁻¹U`` for *cells* from *base*'s memo; the missing columns
+    go through the factorization as one multi-RHS block."""
+    with _CACHE_LOCK:
+        memo = [base.columns.get(int(cell)) for cell in cells]
+    missing = [k for k, column in enumerate(memo) if column is None]
+    if missing:
+        solved = base.solve(
+            _u_columns(pi[missing], pj[missing], base.unknown.size))
+        with _CACHE_LOCK:
+            for n, k in enumerate(missing):
+                memo[k] = base.columns.setdefault(int(cells[k]), solved[:, n])
+            if len(base.columns) > 2 * LOW_RANK_MAX:
+                # Bound the memo: keep only the columns this update uses.
+                base.columns.clear()
+                base.columns.update(zip(cells.tolist(), memo))
+    return np.column_stack(memo)
+
+
+def _derive(
+    base: _Factorization, g: np.ndarray, cells: np.ndarray
+) -> Optional[_Factorization]:
+    """A derived entry for *g*, which differs from *base* in *cells*;
+    None when the low-rank update is unsafe (factor afresh instead)."""
+    d = g.ravel()[cells] - base.g.ravel()[cells]
+    pi, pj = _ports(base, cells)
+    # A junction with both nodes pinned only re-routes current through
+    # the ideal sources: no reduced matrix sees it.
+    free = (pi >= 0) | (pj >= 0)
+    cells, d, pi, pj = cells[free], d[free], pi[free], pj[free]
+    if not cells.size:
+        return replace(base, g=None, columns={})
+    try:
+        z = _base_columns(base, cells, pi, pj)
+    except CrossbarError:
+        return None  # a singular base (the dense backend solves lazily)
+    if not np.isfinite(z).all():
+        return None
+    capacitance = np.eye(cells.size) + d[:, None] * _u_dot(z, pi, pj)
+    sigma = np.linalg.svd(capacitance, compute_uv=False)
+    if sigma[0] + 1.0 > _UPDATE_GROWTH_MAX * sigma[-1]:
+        return None
+
+    gain = np.linalg.solve(capacitance, np.diag(d))  # (I + D·UᵀZ)⁻¹·D
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        # A is symmetric, so Uᵀ·A⁻¹b = Zᵀb and the correction moves into
+        # the right-hand side, x = A⁻¹(b - U·gain·Zᵀb).  Only Z's rows
+        # where b is nonzero are read (a drive pattern touches the few
+        # nodes next to the drivers); a row's summed magnitudes vanish
+        # only when the whole row is zero, and that product is much
+        # cheaper than any(axis=1).
+        magnitude = np.abs(np.reshape(b, (len(b), -1)))
+        support = np.flatnonzero(magnitude @ np.ones(magnitude.shape[1]))
+        b = np.array(b, dtype=float)
+        _u_add(b, -(gain @ (z[support].T @ b[support])), pi, pj)
+        return base.solve(b)
+
+    a_up = base.a_up
+    if a_up is not None and ((pi < 0) | (pj < 0)).any():
+        # Pinned drivers: a junction with one pinned node also changes
+        # the coupling block, at the pinned node's column (a write away
+        # from the driven line ends leaves it as it is).
+        q = tuple(np.where(p < 0, np.searchsorted(base.pinned, nodes), -1)
+                  for p, nodes in ((pi, cells), (pj, base.n_nodes // 2 + cells)))
+        a_up = _Stamped(a_up, (pi, pj), q, d)
+    return replace(
+        base, a_red=_Stamped(base.a_red, (pi, pj), (pi, pj), d), a_up=a_up,
+        solve=solve, g=None, columns={},
     )
 
 
@@ -533,25 +713,44 @@ def _get_factorization(
     # The conductance digest is recomputed at *every* lookup (not
     # stored at insert time), so mutating `g` in place between solves
     # can never resurrect a stale factorization: the changed bytes hash
-    # to a different key and force a rebuild.
+    # to a different key and force a rebuild (or a low-rank update of a
+    # base whose own copy of the conductances is compared cell by cell).
     digest = hashlib.blake2b(
         np.ascontiguousarray(g).tobytes(), digest_size=16
     ).digest()
-    key = (
+    structure = (
         g.shape, row_idx, col_idx,
-        float(wire_resistance), float(driver_resistance), backend, digest,
+        float(wire_resistance), float(driver_resistance), backend,
     )
+    key = structure + (digest,)
     with _CACHE_LOCK:
         fact = _FACTOR_CACHE.get(key)
         if fact is not None:
             _FACTOR_CACHE.move_to_end(key)
             _CACHE_HIT.inc()
             return fact
-    _CACHE_MISS.inc()
-    fact = _build_factorization(
-        g, row_idx, col_idx, wire_resistance, driver_resistance, backend
-    )
+        bases = [(k, f) for k, f in _FACTOR_CACHE.items()
+                 if f.g is not None and k[:-1] == structure]
+    # Nearest real factorization of the same structure, by changed cells.
+    base_key, base, cells = None, None, None
+    flat = g.ravel()
+    for k, candidate in bases:
+        changed = np.flatnonzero(candidate.g.ravel() != flat)
+        if changed.size <= LOW_RANK_MAX and (
+                cells is None or changed.size < cells.size):
+            base_key, base, cells = k, candidate, changed
+    fact = _derive(base, g, cells) if base is not None else None
+    if fact is None:
+        _CACHE_MISS.inc()
+        fact = _build_factorization(
+            g, row_idx, col_idx, wire_resistance, driver_resistance, backend
+        )
+    else:
+        _CACHE_UPDATE.inc()
     with _CACHE_LOCK:
+        if fact.g is None and base_key in _FACTOR_CACHE:
+            # Keep a base that still serves updates from aging out.
+            _FACTOR_CACHE.move_to_end(base_key)
         _FACTOR_CACHE[key] = fact
         while len(_FACTOR_CACHE) > FACTORIZATION_CACHE_SIZE:
             _FACTOR_CACHE.popitem(last=False)
@@ -568,6 +767,8 @@ def _validate_wire_problem(
     g = np.asarray(conductances, dtype=float)
     if g.ndim != 2:
         raise CrossbarError(f"conductance matrix must be 2-D, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise CrossbarError("conductances must be finite")
     if (g < 0).any():
         raise CrossbarError("conductances must be non-negative")
     rows, cols = g.shape
@@ -587,37 +788,44 @@ def _validate_wire_problem(
 
 
 def _solve_node_voltages(
-    fact: _Factorization, drive_volts: np.ndarray
-) -> np.ndarray:
+    fact: _Factorization,
+    drive_volts: np.ndarray,
+    extra: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Node voltages for a ``(n_drivers, k)`` block of drive patterns.
 
     All *k* patterns share *fact*'s driven-line structure; only the
     right-hand side differs per pattern, so the whole block goes through
-    the factorization as one multi-column solve.  Returns ``(n, k)``.
+    the factorization as one multi-column solve.  *extra* — reduced
+    right-hand-side columns such as rank-1 ``u`` vectors — rides in the
+    same block.  Returns the ``(n, k)`` node voltages and the solved
+    *extra* columns (``(n_unknown, 0)`` without them).
     """
     k = drive_volts.shape[1]
     n = fact.n_nodes
-    x = np.empty((n, k))
     if fact.g_drv is None:
         # Pinned drivers: solve the un-pinned KCL rows against the
         # boundary coupling block.
         if fact.unknown.size:
             b_red = -(fact.a_up @ drive_volts)
-            x_u = fact.solve(b_red)
         else:
             b_red = np.empty((0, k))
-            x_u = b_red
-        x[fact.pinned] = drive_volts
-        x[fact.unknown] = x_u
     else:
         b_red = np.zeros((n, k))
         b_red[fact.driver_nodes] = fact.g_drv * drive_volts
-        x = fact.solve(b_red)
-        x_u = x
-    if not np.isfinite(x).all():
+    block = b_red if extra is None else np.hstack([b_red, extra])
+    solved = fact.solve(block) if fact.unknown.size else block
+    x_u = solved[:, :k]
+    if fact.g_drv is None:
+        x = np.empty((n, k))
+        x[fact.pinned] = drive_volts
+        x[fact.unknown] = x_u
+    else:
+        x = x_u
+    if not np.isfinite(solved).all():
         raise CrossbarError("singular crossbar system")
     _note_solve(_SOLVES_WIRE, fact.a_red, b_red, x_u, count=k)
-    return x
+    return x, solved[:, k:]
 
 
 def _wire_solution(g: np.ndarray, x: np.ndarray) -> CrossbarSolution:
@@ -690,8 +898,8 @@ def solve_with_wire_resistance(
     drive_volts = np.array(
         [row_drive[r] for r in row_idx] + [col_drive[c] for c in col_idx]
     )
-    x = _solve_node_voltages(fact, drive_volts[:, None])[:, 0]
-    return _wire_solution(g, x)
+    x, _ = _solve_node_voltages(fact, drive_volts[:, None])
+    return _wire_solution(g, x[:, 0])
 
 
 def solve_many_with_wire_resistance(
@@ -748,7 +956,7 @@ def solve_many_with_wire_resistance(
                 [row_drive[r] for r in row_idx]
                 + [col_drive[c] for c in col_idx]
             )
-        x = _solve_node_voltages(fact, drive_volts)
+        x, _ = _solve_node_voltages(fact, drive_volts)
         for column, index in enumerate(members):
             solutions[index] = _wire_solution(g, x[:, column])
     return [s for s in solutions if s is not None]
@@ -773,7 +981,8 @@ def solve_junction_variants(
     factor: the read-margin pair (selected cell storing 1 vs 0) and
     single-cell disturb sweeps cost one factorization total.  The
     auxiliary ``A⁻¹u`` solves for all variants go through the
-    factorization as one multi-RHS block.
+    factorization together with the base right-hand side, as one
+    multi-RHS block.
 
     Returns ``(base_solution, [variant_solutions...])`` in input order.
     Falls back to a full solve for any variant whose Sherman–Morrison
@@ -788,8 +997,19 @@ def solve_junction_variants(
     _check_drive(col_drive, cols, "col")
     if not row_drive and not col_drive:
         raise CrossbarError("at least one line must be driven")
-    rc = rows * cols
-    n = 2 * rc
+    cells = np.empty(len(variants), dtype=np.intp)
+    deltas = np.empty(len(variants))
+    for k, (row, col, g_new) in enumerate(variants):
+        if not (0 <= row < rows and 0 <= col < cols):
+            raise CrossbarError(
+                f"variant junction ({row}, {col}) outside {rows}x{cols}"
+            )
+        if not math.isfinite(g_new):
+            raise CrossbarError("conductances must be finite")
+        if g_new < 0:
+            raise CrossbarError("conductances must be non-negative")
+        cells[k] = row * cols + col
+        deltas[k] = float(g_new) - g[row, col]
 
     row_idx = tuple(sorted(row_drive))
     col_idx = tuple(sorted(col_drive))
@@ -799,86 +1019,57 @@ def solve_junction_variants(
     drive_volts = np.array(
         [row_drive[r] for r in row_idx] + [col_drive[c] for c in col_idx]
     )
-    x_base = _solve_node_voltages(fact, drive_volts[:, None])[:, 0]
+    # A variant moves no node voltage when it changes nothing or when
+    # both its junction nodes are pinned by drivers (the change only
+    # re-routes current through the ideal sources).
+    pi, pj = _ports(fact, cells)
+    active = np.flatnonzero((deltas != 0.0) & ((pi >= 0) | (pj >= 0)))
+    pi, pj, d = pi[active], pj[active], deltas[active]
+    # The base right-hand side and every active variant's u column go
+    # through the factorization as one multi-RHS block.
+    x, z = _solve_node_voltages(
+        fact, drive_volts[:, None],
+        _u_columns(pi, pj, fact.unknown.size) if active.size else None)
+    x_base = x[:, 0]
     base = _wire_solution(g, x_base)
-    if not variants:
-        return base, []
-
-    # Reduced-space positions of every node (-1 = pinned).
-    position = np.full(n, -1, dtype=np.intp)
-    position[fact.unknown] = np.arange(fact.unknown.size, dtype=np.intp)
     y0 = x_base[fact.unknown]
-
-    deltas: List[float] = []
-    endpoints: List[Tuple[int, int]] = []
-    for row, col, g_new in variants:
-        if not (0 <= row < rows and 0 <= col < cols):
-            raise CrossbarError(
-                f"variant junction ({row}, {col}) outside {rows}x{cols}"
-            )
-        if g_new < 0:
-            raise CrossbarError("conductances must be non-negative")
-        deltas.append(float(g_new) - g[row, col])
-        cell = row * cols + col
-        endpoints.append((cell, rc + cell))
-
-    # One multi-RHS block answers every variant's A⁻¹u column.
-    u_cols = np.zeros((fact.unknown.size, len(variants)))
-    needs_solve = []
-    for k, (i, j) in enumerate(endpoints):
-        pi, pj = position[i], position[j]
-        if deltas[k] == 0.0 or (pi < 0 and pj < 0):
-            continue  # base solution already exact
-        if pi >= 0:
-            u_cols[pi, k] = 1.0
-        if pj >= 0:
-            u_cols[pj, k] = -1.0
-        needs_solve.append(k)
-    z_block = np.zeros_like(u_cols)
-    if needs_solve and fact.unknown.size:
-        z_block[:, needs_solve] = fact.solve(u_cols[:, needs_solve])
+    slot = dict(zip(active.tolist(), range(active.size)))
+    if active.size:
+        # Sherman–Morrison, all variants at once: x_u = y0 - shift·z.  A
+        # pinned endpoint also moves the right-hand side by
+        # -d·(u_p·x_p)·u_u.
+        i_nodes = cells[active]
+        s = (np.where(pi < 0, x_base[i_nodes], 0.0)
+             - np.where(pj < 0, x_base[i_nodes + rows * cols], 0.0))
+        columns = np.arange(active.size)
+        uz = (np.where(pi >= 0, z[pi, columns], 0.0)
+              - np.where(pj >= 0, z[pj, columns], 0.0))
+        denominator = 1.0 + d * uz
+        degenerate = np.abs(denominator) < 1e-300
+        shift = d * s + d * (_u_dot(y0, pi, pj) - d * s * uz) / np.where(
+            degenerate, 1.0, denominator)
 
     results: List[CrossbarSolution] = []
-    for k, ((row, col, g_new), delta, (i, j)) in enumerate(
-        zip(variants, deltas, endpoints)
-    ):
+    for k, (row, col, g_new) in enumerate(variants):
         g_var = g.copy()
         g_var[row, col] = float(g_new)
-        if delta == 0.0:
+        m = slot.get(k)
+        if m is None:
             results.append(_wire_solution(g_var, x_base))
-            continue
-        pi, pj = position[i], position[j]
-        if pi < 0 and pj < 0:
-            # Both junction nodes pinned by drivers: the change only
-            # re-routes current through the ideal sources — every node
-            # voltage is untouched.
-            results.append(_wire_solution(g_var, x_base))
-            continue
-        z = z_block[:, k]
-        u = u_cols[:, k]
-        # Pinned-endpoint contribution to the updated right-hand side:
-        # b' = b - delta * (u_p · x_p) * u_u.
-        s = 0.0
-        if pi < 0:
-            s += x_base[i]
-        if pj < 0:
-            s -= x_base[j]
-        y_rhs = y0 - delta * s * z
-        denominator = 1.0 + delta * float(u @ z)
-        if abs(denominator) < 1e-300:
+        elif degenerate[m]:
+            # The variant disconnects its junction exactly: solve it.
             results.append(solve_with_wire_resistance(
                 g_var, row_drive, col_drive,
                 wire_resistance=wire_resistance,
                 driver_resistance=driver_resistance,
                 backend=backend,
             ))
-            continue
-        coefficient = delta * float(u @ y_rhs) / denominator
-        x = x_base.copy()
-        x[fact.unknown] = y_rhs - coefficient * z
-        if not np.isfinite(x).all():
-            raise CrossbarError("singular crossbar system")
-        results.append(_wire_solution(g_var, x))
+        else:
+            x = x_base.copy()
+            x[fact.unknown] = y0 - shift[m] * z[:, m]
+            if not np.isfinite(x).all():
+                raise CrossbarError("singular crossbar system")
+            results.append(_wire_solution(g_var, x))
     return base, results
 
 

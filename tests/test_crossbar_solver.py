@@ -1,11 +1,16 @@
 """Tests for the crossbar electrical solvers against hand-computable
 circuits."""
 
+import sys
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.crossbar.solver import (
     DENSE_NODE_LIMIT,
+    LOW_RANK_MAX,
     clear_factorization_cache,
     factorization_cache_len,
     scipy_available,
@@ -15,6 +20,10 @@ from repro.crossbar.solver import (
     solve_with_wire_resistance,
     _CACHE_HIT,
     _CACHE_MISS,
+    _CACHE_UPDATE,
+    _FACTOR_CACHE,
+    _ports,
+    _u_columns,
 )
 from repro.errors import CrossbarError
 
@@ -200,6 +209,37 @@ class TestWireResistance:
                 np.array([[-1.0]]), {0: 1.0}, {0: 0.0}
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_conductance(self, bad):
+        """A NaN/inf conductance is refused up front, not reported as a
+        singular system after a factorization attempt."""
+        g = np.full((3, 3), 1e-4)
+        g[1, 2] = bad
+        misses = _CACHE_MISS.value
+        for call in (
+            lambda: solve_with_wire_resistance(g, {0: 1.0}, {0: 0.0}),
+            lambda: solve_many_with_wire_resistance(
+                g, [({0: 1.0}, {0: 0.0})]),
+            lambda: solve_junction_variants(
+                g, {0: 1.0}, {0: 0.0}, [(0, 0, 1e-4)]),
+        ):
+            with pytest.raises(CrossbarError,
+                               match="conductances must be finite"):
+                call()
+        assert _CACHE_MISS.value == misses
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_variant(self, bad):
+        g = np.full((3, 3), 1e-4)
+        misses = _CACHE_MISS.value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CrossbarError,
+                               match="conductances must be finite"):
+                solve_junction_variants(
+                    g, {0: 1.0}, {0: 0.0}, [(1, 1, 2e-4), (2, 1, bad)])
+        assert _CACHE_MISS.value == misses
+
     def test_disconnected_line_is_singular(self):
         """An undriven line with no junction path anywhere is a floating
         island: the system is singular on every backend."""
@@ -334,6 +374,147 @@ class TestFactorizationCache:
         sol_c = solve_with_wire_resistance(g, {0: 1.0}, {0: 0.0})
         assert not np.allclose(sol_c.junction_currents,
                                sol_b.junction_currents)
+
+    def test_single_cell_write_is_a_low_rank_update(self):
+        """miss -> update -> hit -> miss: a first solve factors with the
+        cold path's exact bits; a one-cell write derives a low-rank entry
+        from it; re-reading the written array hits that entry
+        bit-identically; writing more than LOW_RANK_MAX cells factors
+        afresh."""
+        rng = np.random.default_rng(5)
+        g = rng.uniform(1e-5, 1e-3, (8, 8))
+        rd, cd = {0: 1.0, 3: 0.5}, {2: 0.0}
+
+        def solve(conductances):
+            return solve_with_wire_resistance(
+                conductances, rd, cd, wire_resistance=2.0)
+
+        def counts():
+            return (_CACHE_MISS.value, _CACHE_UPDATE.value, _CACHE_HIT.value)
+
+        start = counts()
+        first = solve(g)
+        assert np.subtract(counts(), start).tolist() == [1, 0, 0]
+        clear_factorization_cache()
+        cold = solve(g)
+        np.testing.assert_array_equal(first.row_voltages, cold.row_voltages)
+        np.testing.assert_array_equal(first.col_voltages, cold.col_voltages)
+
+        written = g.copy()
+        written[5, 6] = 7e-4
+        start = counts()
+        updated = solve(written)
+        assert np.subtract(counts(), start).tolist() == [0, 1, 0]
+        reread = solve(written)
+        assert np.subtract(counts(), start).tolist() == [0, 1, 1]
+        np.testing.assert_array_equal(updated.row_voltages,
+                                      reread.row_voltages)
+        np.testing.assert_array_equal(updated.junction_currents,
+                                      reread.junction_currents)
+        clear_factorization_cache()
+        fresh = solve(written)
+        scale = np.abs(fresh.junction_currents).max()
+        assert np.abs(updated.junction_currents
+                      - fresh.junction_currents).max() <= 1e-9 * scale
+
+        solve(g)  # the base again
+        many = g.copy()
+        cells = rng.choice(g.size, LOW_RANK_MAX + 1, replace=False)
+        many.ravel()[cells] *= 1.5
+        start = counts()
+        solve(many)
+        assert np.subtract(counts(), start).tolist() == [1, 0, 0]
+
+    def test_update_derives_from_a_real_base_only(self):
+        """Derived entries are never bases: a chain of writes stays one
+        low-rank step from the last real factorization."""
+        g = np.full((6, 6), 1e-4)
+        solve_with_wire_resistance(g, {0: 1.0}, {0: 0.0})
+        misses, updates = _CACHE_MISS.value, _CACHE_UPDATE.value
+        for cell in range(LOW_RANK_MAX):
+            g.ravel()[cell] = 3e-4
+            solve_with_wire_resistance(g, {0: 1.0}, {0: 0.0})
+        assert _CACHE_MISS.value == misses
+        assert _CACHE_UPDATE.value == updates + LOW_RANK_MAX
+        g.ravel()[LOW_RANK_MAX] = 3e-4  # one cell past the cap
+        solve_with_wire_resistance(g, {0: 1.0}, {0: 0.0})
+        assert _CACHE_MISS.value == misses + 1
+
+    def test_write_that_disconnects_a_line_factors_afresh(self):
+        """A single-cell write that leaves a floating line without any
+        junction makes the update's (1x1) capacitance matrix vanish: the
+        cache falls back to a real factorization, which reports the
+        singular system."""
+        g = np.array([[1e-3, 1e-4], [1e-4, 0.0]])
+        backends = ["dense"] + (["sparse"] if scipy_available() else [])
+        for backend in backends:
+            solve_with_wire_resistance(g, {0: 1.0}, {0: 0.0},
+                                       backend=backend)
+            cut = g.copy()
+            cut[1, 0] = 0.0  # row 1's last junction: the row floats alone
+            misses = _CACHE_MISS.value
+            with pytest.raises(CrossbarError, match="singular"):
+                solve_with_wire_resistance(cut, {0: 1.0}, {0: 0.0},
+                                           backend=backend)
+            assert _CACHE_MISS.value == misses + 1
+
+    def test_concurrent_updates_share_one_base(self):
+        """Threads deriving updates from one base at once — a short
+        switch interval forces them to interleave — all get the cold
+        answer without factoring, and the base's memoised ``A⁻¹u``
+        columns each still belong to their own junction."""
+        rng = np.random.default_rng(11)
+        g = rng.uniform(1e-5, 1e-3, (8, 8))
+        rd, cd = {0: 1.0, 4: 0.3}, {1: 0.0, 6: 0.0}
+        writes = []
+        for _ in range(12):
+            written = g.copy()
+            cells = rng.choice(g.size, int(rng.integers(1, 4)), replace=False)
+            written.ravel()[cells] = rng.uniform(1e-5, 1e-3, cells.size)
+            writes.append(written)
+        expected = []
+        for written in writes:
+            clear_factorization_cache()
+            expected.append(
+                solve_with_wire_resistance(written, rd, cd).col_currents)
+        clear_factorization_cache()
+        solve_with_wire_resistance(g, rd, cd)  # the shared base
+        misses = _CACHE_MISS.value
+        errors = []
+
+        def worker(offset):
+            try:
+                for k in range(len(writes)):
+                    i = (k + offset) % len(writes)
+                    got = solve_with_wire_resistance(
+                        writes[i], rd, cd).col_currents
+                    error = np.abs(got - expected[i]).max()
+                    if error > 1e-9 * np.abs(expected[i]).max():
+                        errors.append((i, error))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert _CACHE_MISS.value == misses
+        (base,) = [f for f in _FACTOR_CACHE.values() if f.g is not None]
+        assert base.columns
+        for cell, column in base.columns.items():
+            pi, pj = _ports(base, np.array([cell]))
+            fresh = base.solve(_u_columns(pi, pj, base.unknown.size))[:, 0]
+            np.testing.assert_allclose(
+                column, fresh, rtol=0, atol=1e-12 * np.abs(fresh).max())
 
 
 class TestMultiRHS:

@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    rule,
+)
 
+from repro.crossbar import solver
 from repro.crossbar.solver import (
+    LOW_RANK_MAX,
     clear_factorization_cache,
     scipy_available,
     solve_ideal_wires,
+    solve_junction_variants,
+    solve_many_with_wire_resistance,
     solve_with_wire_resistance,
 )
 
@@ -201,3 +211,161 @@ class TestWireSolverProperties:
         np.testing.assert_array_equal(cold.col_voltages, warm.col_voltages)
         np.testing.assert_array_equal(cold.junction_currents,
                                       warm.junction_currents)
+
+
+G_LRS, G_HRS = 1e-4, 1e-6
+BACKENDS = ["dense"] + (["sparse"] if scipy_available() else [])
+#: Relative agreement every low-rank answer owes a cold factorization.
+LOW_RANK_RTOL = 1e-9
+
+
+def _cold(solve):
+    """Run *solve* on an empty factorization cache — a truly cold
+    factorization — then put the cache under test back as it was."""
+    saved = list(solver._FACTOR_CACHE.items())
+    try:
+        clear_factorization_cache()
+        return solve()
+    finally:
+        clear_factorization_cache()
+        solver._FACTOR_CACHE.update(saved)
+
+
+def _assert_agrees(got, want, g, what):
+    """Node voltages within LOW_RANK_RTOL of the drive voltage, currents
+    within LOW_RANK_RTOL of the drive's current scale (largest junction
+    conductance times the drive voltage), and the subject conserves
+    current on its own.
+
+    The current scale is the drive's, not the largest current of this
+    solution: where the read path runs through HRS cells every junction
+    current can be orders of magnitude below it, and there two cold
+    factorizations that differ only in pivot order already disagree by
+    ~1e-8 relative to that largest current.
+    """
+    volts = max(np.abs(want.row_voltages).max(),
+                np.abs(want.col_voltages).max(), 1e-300)
+    amps = g.max() * volts
+    for name, scale in (("row_voltages", volts), ("col_voltages", volts),
+                        ("junction_currents", amps), ("row_currents", amps),
+                        ("col_currents", amps)):
+        error = np.abs(getattr(got, name) - getattr(want, name)).max()
+        assert error <= LOW_RANK_RTOL * scale, (what, name, error / scale)
+    imbalance = abs(got.row_currents.sum() - got.col_currents.sum())
+    assert imbalance <= LOW_RANK_RTOL * amps, (what, imbalance / amps)
+
+
+class SingleCellWrites(RuleBasedStateMachine):
+    """Random single-cell writes between reads, through the public
+    solvers: every answer — cold, low-rank update, or exact hit — must
+    agree with a cold factorization of the current array.
+
+    Writes toggle cells between LRS and HRS (so toggling twice returns a
+    cell to its base value), set arbitrary conductances, hit cells whose
+    junction touches a pinned driver node, and burst past
+    LOW_RANK_MAX changed cells.  Reads batch two drive structures
+    (all lines driven, and one row/one column with the rest floating)
+    and ask for rank-1 variants at a pinned and a free junction.
+
+    Wire resistance starts at 0.25 ohm: at 0.1 ohm against 1e-6 S
+    junctions the cold oracle's own rounding (about cond(A)·eps, ~3e-10
+    of the drive scale against an extended-precision reference) is
+    already a third of LOW_RANK_RTOL, too close to referee the bound.
+    """
+
+    @initialize(
+        rows=st.integers(min_value=6, max_value=7),
+        cols=st.integers(min_value=6, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        wire_resistance=st.floats(min_value=0.25, max_value=10.0),
+        driver_resistance=st.sampled_from([0.0, 0.0, 25.0]),
+        backend=st.sampled_from(BACKENDS),
+    )
+    def setup(self, rows, cols, seed, wire_resistance, driver_resistance,
+              backend):
+        clear_factorization_cache()
+        self.rng = np.random.default_rng(seed)
+        self.g = np.where(self.rng.random((rows, cols)) < 0.5, G_LRS, G_HRS)
+        self.options = dict(wire_resistance=wire_resistance,
+                            driver_resistance=driver_resistance,
+                            backend=backend)
+        all_cols = {c: 0.0 for c in range(cols)}
+        self.structures = [
+            [({r: float(v) for r, v in enumerate(
+                self.rng.uniform(-1.0, 1.0, rows))}, all_cols)
+             for _ in range(2)],
+            [({0: 1.0}, {cols - 1: 0.0}), ({0: -0.4}, {cols - 1: 0.0})],
+        ]
+        # Junctions with a node pinned by a driver under the all-driven
+        # structure: row-side nodes of column 0, column-side nodes of
+        # row 0 (pinned only while driver_resistance is 0).
+        self.pinned_cells = sorted({(r, 0) for r in range(rows)}
+                                   | {(0, c) for c in range(cols)})
+
+    def _cell(self, index):
+        return divmod(index % self.g.size, self.g.shape[1])
+
+    @rule(index=st.integers(min_value=0, max_value=10**6))
+    def toggle(self, index):
+        cell = self._cell(index)
+        self.g[cell] = G_HRS if self.g[cell] == G_LRS else G_LRS
+
+    @rule(index=st.integers(min_value=0, max_value=10**6),
+          value=st.floats(min_value=1e-6, max_value=1e-3))
+    def write(self, index, value):
+        self.g[self._cell(index)] = value
+
+    @rule(index=st.integers(min_value=0, max_value=10**6))
+    def toggle_pinned(self, index):
+        cell = self.pinned_cells[index % len(self.pinned_cells)]
+        self.g[cell] = G_HRS if self.g[cell] == G_LRS else G_LRS
+
+    @rule()
+    def burst_past_cap(self):
+        """LOW_RANK_MAX + 1 single-cell writes with no read between."""
+        for flat in self.rng.choice(self.g.size, LOW_RANK_MAX + 1,
+                                    replace=False):
+            cell = divmod(int(flat), self.g.shape[1])
+            self.g[cell] = G_HRS if self.g[cell] == G_LRS else G_LRS
+
+    @rule()
+    def read_many(self):
+        g = self.g.copy()
+        drives = self.structures[0] + self.structures[1]
+        got = solve_many_with_wire_resistance(g, drives, **self.options)
+        for k, (rd, cd) in enumerate(drives):
+            want = _cold(lambda: solve_with_wire_resistance(
+                g, rd, cd, **self.options))
+            _assert_agrees(got[k], want, g, f"drive pattern {k}")
+
+    @rule(index=st.integers(min_value=0, max_value=10**6),
+          value=st.floats(min_value=1e-6, max_value=1e-3))
+    def read_variants(self, index, value):
+        g = self.g.copy()
+        pinned = self.pinned_cells[index % len(self.pinned_cells)]
+        free = self._cell(index)
+        variants = [(pinned[0], pinned[1], value), (free[0], free[1], value)]
+        for rd, cd in (self.structures[0][0], self.structures[1][0]):
+            base, got = solve_junction_variants(g, rd, cd, variants,
+                                                **self.options)
+            want = _cold(lambda: solve_with_wire_resistance(
+                g, rd, cd, **self.options))
+            _assert_agrees(base, want, g, "variant base")
+            for (r, c, g_new), solution in zip(variants, got):
+                g_var = g.copy()
+                g_var[r, c] = g_new
+                want = _cold(lambda: solve_with_wire_resistance(
+                    g_var, rd, cd, **self.options))
+                _assert_agrees(solution, want, g_var, f"variant ({r}, {c})")
+
+    @invariant()
+    def cache_stays_bounded(self):
+        assert solver.factorization_cache_len() <= solver.FACTORIZATION_CACHE_SIZE
+
+    def teardown(self):
+        clear_factorization_cache()
+
+
+TestSingleCellWrites = SingleCellWrites.TestCase
+TestSingleCellWrites.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None)
