@@ -55,7 +55,7 @@ from ..spec.costmodel import CIMCostModel
 from ..spec.ledger import CostLedger
 from .bitplane import BitplaneExecutor
 from .kernel import OP_FALSE, OP_IMP, OP_LOAD, CompiledKernel
-from .packing import pack_words, unpack_words
+from .packing import assemble_words, pack_words
 
 #: Names accepted by :func:`run_kernel`'s ``backend`` argument.
 BACKENDS = ("functional", "functional_bitplane", "electrical", "analytical")
@@ -112,7 +112,12 @@ class BatchResult:
     ledger: Optional[CostLedger] = None
 
     def word(self, group: str) -> np.ndarray:
-        """Assemble one multi-bit output group into integer words."""
+        """Assemble one multi-bit output group into uint64 words.
+
+        The executors' lanes hold 0/1 by construction, so they are not
+        checked again (:func:`~repro.engine.packing.unpack_words` is the
+        checking entry point for outside bit matrices).
+        """
         if self.outputs is None:
             raise EngineError(
                 f"{self.backend} backend produced no output values"
@@ -122,8 +127,7 @@ class BatchResult:
             raise EngineError(
                 f"unknown output group {group!r}; have {sorted(self.word_outputs)}"
             )
-        matrix = np.stack([self.outputs[m] for m in members], axis=1)
-        return unpack_words(matrix)
+        return assemble_words([self.outputs[m] for m in members])
 
     def bit(self, signal: str) -> np.ndarray:
         """One output signal's bit lane across the batch."""

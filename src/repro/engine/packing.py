@@ -116,7 +116,7 @@ def pack_words(values: Union[Sequence[int], np.ndarray], width: int) -> np.ndarr
             f"word {index} is negative ({int(words[index])}); "
             "words must be non-negative"
         )
-    words = words.astype(np.uint64)
+    words = np.ascontiguousarray(words, dtype="<u8")
     too_wide = words >= np.uint64(1 << width)
     if too_wide.any():
         index = int(np.nonzero(too_wide)[0][0])
@@ -124,8 +124,26 @@ def pack_words(values: Union[Sequence[int], np.ndarray], width: int) -> np.ndarr
             f"word {index} = {int(words[index])} does not fit in "
             f"{width} bits"
         )
-    lanes = np.arange(width, dtype=np.uint64)
-    return ((words[:, None] >> lanes[None, :]) & np.uint64(1)).astype(np.uint8)
+    # Little-endian bytes unpacked little-endian bit first: column i is
+    # bit 2**i, exactly the lane layout.
+    return np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1,
+                         count=width, bitorder="little")
+
+
+def assemble_words(lanes: Sequence[np.ndarray]) -> np.ndarray:
+    """Reassemble little-endian bit lanes into uint64 words.
+
+    ``lanes[i]`` is the ``(words,)`` lane carrying bit ``2**i``.  The
+    lanes are trusted to hold only 0/1 — executors produce them that
+    way; outside data goes through :func:`unpack_words`, which checks.
+    """
+    words = np.zeros(len(lanes[0]), dtype=np.uint64)
+    shifted = np.empty_like(words)
+    for bit, lane in enumerate(lanes):
+        np.left_shift(lane, np.uint64(bit), out=shifted, dtype=np.uint64,
+                      casting="unsafe")
+        words |= shifted
+    return words
 
 
 def unpack_words(bits: np.ndarray) -> np.ndarray:
@@ -136,10 +154,7 @@ def unpack_words(bits: np.ndarray) -> np.ndarray:
     width = _check_width(matrix.shape[1])
     if matrix.size and not np.isin(matrix, (0, 1)).all():
         raise EngineError("bit matrix entries must be 0/1")
-    lanes = np.arange(width, dtype=np.uint64)
-    return (matrix.astype(np.uint64) << lanes[None, :]).sum(
-        axis=1, dtype=np.uint64
-    )
+    return assemble_words([matrix[:, i] for i in range(width)])
 
 
 def plane_lanes(words: int) -> int:

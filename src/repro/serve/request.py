@@ -15,21 +15,35 @@ A :class:`ServeRequest` describes one unit of work the server accepts:
     across the digest-keyed result cache.
 
 Identity is content-addressed: :attr:`ServeRequest.digest` is a SHA-256
-over the canonical JSON form of the *semantic* fields (kind, kernel,
-width, backend, operands, params, spec overrides — not the caller's id
-or deadline), which keys the server's result cache so repeat
-submissions are served without re-execution.
+over the *semantic* fields only (not the caller's id, deadline, trace
+id or tenant), and it keys the server's result cache so repeat
+submissions are served without re-execution.  The hash covers a
+canonical JSON header (kind, kernel, width, backend, sorted operand
+names, params, spec overrides), then each operand in name order as its
+word count and its words as fixed-width little-endian uint64 bytes.  An
+operand that does not fit that form (a negative word, one of ``2**64``
+or more, a non-integer) is hashed as a separately tagged canonical
+JSON encoding instead, so the digest never raises and never equates two
+different payloads.  It is computed once per request, on first use,
+from the same memoised read-only word arrays
+(:meth:`ServeRequest.operand_array`) the server coalesces into engine
+batches.
 """
 
 from __future__ import annotations
 
+import array
 import hashlib
 import json
+import operator
+import struct
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..engine import BACKENDS
-from ..errors import ServeError
+import numpy as np
+
+from ..engine import BACKENDS, CompiledKernel
+from ..errors import EngineError, ServeError
 
 __all__ = [
     "REQUEST_KINDS",
@@ -50,8 +64,75 @@ REQUEST_KINDS: Tuple[str, ...] = ("kernel", "evaluate")
 SERVE_BACKENDS: Tuple[str, ...] = tuple(BACKENDS) + ("auto",)
 
 
+#: Operand values that ``array.array`` would read as raw memory.
+_BUFFERS = (str, bytes, bytearray, memoryview)
+
+
 def _canonical(payload: Any) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _words(values: Any) -> Optional[np.ndarray]:
+    """*values* as a read-only uint64 vector, or ``None`` when they are
+    not a flat run of integers in ``[0, 2**64)``."""
+    words: np.ndarray
+    if isinstance(values, np.ndarray):
+        if values.ndim != 1 or values.dtype.kind not in "biu":
+            return None
+        if values.dtype.kind == "i" and values.size and values.min() < 0:
+            return None
+        words = values.astype(np.uint64)
+    elif isinstance(values, _BUFFERS):
+        return None
+    else:
+        # array("Q") accepts exactly the integers (via __index__) that
+        # fit 64 unsigned bits; floats and strings raise instead of
+        # being silently truncated or parsed.
+        try:
+            words = np.frombuffer(array.array("Q", values), dtype=np.uint64)
+        except (TypeError, OverflowError, ValueError):
+            return None
+    words.flags.writeable = False
+    return words
+
+
+def _canonical_value(value: Any) -> Any:
+    """JSON form of an operand the fixed-width encoding cannot hold:
+    integers stay integers, sequences become lists, anything else
+    becomes ``{type name: repr}``."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, Sequence) and not isinstance(value, _BUFFERS):
+        return [_canonical_value(item) for item in value]
+    try:
+        return operator.index(value)
+    except TypeError:
+        return {type(value).__name__: repr(value)}
+
+
+def _word_error(name: str, values: Any) -> EngineError:
+    """Name the first word of operand *name* that is not an integer in
+    ``[0, 2**64)``."""
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    if isinstance(items, Sequence) and not isinstance(items, _BUFFERS):
+        for index, value in enumerate(items):
+            try:
+                number = operator.index(value)
+            except TypeError:
+                return EngineError(
+                    f"operand {name!r} word {index} is "
+                    f"{type(value).__name__} ({value!r}); words must be "
+                    "integers")
+            if number < 0:
+                return EngineError(
+                    f"operand {name!r} word {index} is negative ({number}); "
+                    "words must be non-negative")
+            if number >> 64:
+                return EngineError(
+                    f"operand {name!r} word {index} = {number} does not "
+                    "fit in 64 bits")
+    return EngineError(
+        f"operand {name!r} must be a flat sequence of integer words")
 
 
 @dataclass(frozen=True)
@@ -85,6 +166,11 @@ class ServeRequest:
     deadline_s: Optional[float] = None
     trace_id: str = ""
     tenant: str = ""
+    # Memos, filled on first use; replace() starts a fresh pair.
+    _digest: Optional[str] = field(
+        default=None, init=False, repr=False, compare=False)
+    _arrays: Dict[str, Optional[np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in REQUEST_KINDS:
@@ -119,17 +205,103 @@ class ServeRequest:
 
     @property
     def digest(self) -> str:
-        """Content digest — the result-cache key (id/deadline excluded)."""
-        payload = {
-            "kind": self.kind,
-            "kernel": self.kernel.lower(),
-            "width": self.width,
-            "backend": self.backend,
-            "operands": {k: list(v) for k, v in sorted(self.operands.items())},
-            "params": {k: self.params[k] for k in sorted(self.params)},
-            "overrides": {k: self.overrides[k] for k in sorted(self.overrides)},
-        }
-        return hashlib.sha256(_canonical(payload).encode()).hexdigest()
+        """Content digest — the result-cache key (id/deadline excluded).
+
+        Computed on first use and memoised; see the module docstring
+        for the encoding.
+        """
+        digest = self._digest
+        if digest is None:
+            header = _canonical({
+                "kind": self.kind,
+                "kernel": self.kernel.lower(),
+                "width": self.width,
+                "backend": self.backend,
+                "operands": sorted(self.operands),
+                "params": {k: self.params[k] for k in sorted(self.params)},
+                "overrides": {
+                    k: self.overrides[k] for k in sorted(self.overrides)},
+            }).encode()
+            sha = hashlib.sha256(struct.pack("<Q", len(header)) + header)
+            for name in sorted(self.operands):
+                words = self._operand_words(name)
+                if words is not None:
+                    sha.update(b"w" + struct.pack("<Q", words.size))
+                    sha.update(words.astype("<u8", copy=False).tobytes())
+                else:
+                    blob = _canonical(
+                        _canonical_value(self.operands[name])).encode()
+                    sha.update(b"j" + struct.pack("<Q", len(blob)) + blob)
+            digest = sha.hexdigest()
+            object.__setattr__(self, "_digest", digest)
+        return digest
+
+    def _operand_words(self, name: str) -> Optional[np.ndarray]:
+        if name not in self._arrays:
+            self._arrays[name] = _words(self.operands[name])
+        return self._arrays[name]
+
+    def operand_array(self, name: str) -> np.ndarray:
+        """Operand *name* as a read-only uint64 word vector, built once.
+
+        Raises :class:`~repro.errors.EngineError` naming the first word
+        that is not an integer in ``[0, 2**64)``.
+        """
+        words = self._operand_words(name)
+        if words is None:
+            raise _word_error(name, self.operands[name])
+        return words
+
+    def operand_arrays(self) -> Dict[str, np.ndarray]:
+        """Every operand as :meth:`operand_array` builds it."""
+        return {name: self.operand_array(name) for name in self.operands}
+
+    def release_arrays(self) -> None:
+        """Drop the memoised operand arrays (the digest stays memoised);
+        the next use rebuilds them.  A server calls this when it is done
+        with a request, so a caller that keeps its requests does not
+        also keep a second copy of every word."""
+        self._arrays.clear()
+
+    def check_operands(self, kernel: CompiledKernel) -> None:
+        """Raise :class:`~repro.errors.EngineError` unless this request's
+        operands fit *kernel* on their own.
+
+        Every operand must name a word group or input signal of
+        *kernel*, hold integer words that fit the group's width (0/1 for
+        a signal), and match the others' word count.  Errors name the
+        word index within this request, so a malformed request is
+        refused before it can be coalesced with (and fail) others.
+        """
+        count: Optional[int] = None
+        for name in sorted(self.operands):
+            group = kernel.word_inputs.get(name)
+            if group is not None:
+                width = len(group)
+            elif name in kernel.inputs:
+                width = 1
+            else:
+                raise EngineError(
+                    f"{kernel.name}: unknown operand {name!r}; word groups: "
+                    f"{sorted(kernel.word_inputs)}, signals: "
+                    f"{list(kernel.inputs)}")
+            words = self.operand_array(name)
+            if count is None:
+                count = words.size
+                if not count:
+                    raise EngineError(f"operand {name!r} has no words")
+            elif words.size != count:
+                raise EngineError(
+                    f"operand {name!r} has {words.size} words, "
+                    f"expected {count}")
+            too_wide = np.flatnonzero(words >> np.uint64(width))
+            if too_wide.size:
+                index = int(too_wide[0])
+                fit = ("is not a bit (0/1)" if name in kernel.inputs
+                       else f"does not fit in {width} bits")
+                raise EngineError(
+                    f"operand {name!r} word {index} = {int(words[index])} "
+                    f"{fit}")
 
     def batch_key(self, spec_digest: str) -> Tuple[Any, ...]:
         """Coalescing compatibility key: requests sharing it can merge

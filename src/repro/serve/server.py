@@ -8,6 +8,11 @@ Dataflow (DESIGN.md section 8)::
                  cached result    ServerOverloaded   coalesce     engine batch
                                                      by key     ──▶ split ──▶ futures
 
+* **Per-request checks** — a kernel request's operands are checked on
+  their own before it is queued
+  (:meth:`~repro.serve.request.ServeRequest.check_operands`), so a
+  malformed request fails alone instead of failing the batch it would
+  have been coalesced into.
 * **Backpressure** — the request queue is bounded (``queue_limit``);
   a full queue rejects the submission with
   :class:`~repro.errors.ServerOverloaded` *before* accepting it, so an
@@ -16,7 +21,8 @@ Dataflow (DESIGN.md section 8)::
   then keeps collecting until ``max_batch_size`` requests or
   ``max_wait_us`` microseconds, whichever first; the window's requests
   are grouped by :meth:`~repro.serve.request.ServeRequest.batch_key`
-  and each group coalesces into one engine execution
+  and each group coalesces its members' memoised operand arrays into
+  one engine execution
   (:func:`~repro.engine.coalesce_operand_batches` ➜
   :func:`~repro.engine.run_kernel` ➜ :meth:`~repro.engine.BatchResult.split`).
 * **Deadlines** — each request may carry ``deadline_s``; expiry
@@ -79,6 +85,7 @@ from ..engine import (
 )
 from ..errors import (
     DeadlineExceeded,
+    EngineError,
     ServeError,
     ServerOverloaded,
     TransientExecutorError,
@@ -151,10 +158,12 @@ class _Pending:
     hot path to a handful of float stores.  ``group_stamps`` is one
     tuple shared by every member of an executed batch:
     ``(started, executed, retries, batch_requests, batch_words)``.
+    ``digest`` is the request digest, read once at submission.
     """
 
     request: ServeRequest
     spec: TechSpec
+    digest: str
     future: "asyncio.Future[ServeResult]"
     expires_at: Optional[float] = None
     cancelled: bool = False
@@ -428,6 +437,12 @@ class KernelServer:
         the queue is full) and awaited until its batch completes or its
         deadline expires (:class:`~repro.errors.DeadlineExceeded`).
         """
+        try:
+            return await self._submit(request)
+        finally:
+            request.release_arrays()
+
+    async def _submit(self, request: ServeRequest) -> ServeResult:
         if self._draining or self._closed:
             raise ServeError("server is draining; not accepting requests")
         self._ensure_started()
@@ -459,7 +474,8 @@ class KernelServer:
         # record all behave exactly as if the caller had named it.
         if request.backend == "auto":
             request = self._autoroute(request, spec)
-        cached = self._cache_get(self._result_key(request, spec))
+        digest = request.digest
+        cached = self._cache_get(self._result_key(digest, spec))
         if cached is not None:
             _REQUESTS["cached"].inc()
             if trace is not None:
@@ -474,17 +490,18 @@ class KernelServer:
             return cached.for_request(request.id, cached=True,
                                       trace_id=trace_id)
 
+        # Check operands per request, before queueing: a malformed
+        # request coalesced with others would fail their whole batch.
+        if request.kind == "kernel" and request.operands:
+            try:
+                request.check_operands(
+                    resolve_kernel(request.kernel, request.width))
+            except EngineError as exc:
+                self._refuse(request, trace, accepted_at, "error", repr(exc))
+                raise
+
         if queue.qsize() >= self.queue_limit:
-            _REQUESTS["rejected"].inc()
-            if trace is not None:
-                flight = FlightRecord(
-                    request_id=trace.request_id, trace_id=trace.trace_id,
-                    kernel=request.kernel or request.kind,
-                    backend=request.backend, status="rejected",
-                    error="queue full", accepted_at=accepted_at,
-                    finished_at=time.perf_counter(), closed=True)
-                self._flight.record(flight)
-                _LOG.warning("overloaded: %s", flight.describe())
+            self._refuse(request, trace, accepted_at, "rejected", "queue full")
             raise ServerOverloaded(
                 f"request queue full ({self.queue_limit} pending); retry later"
             )
@@ -493,6 +510,7 @@ class KernelServer:
         pending = _Pending(
             request=request,
             spec=spec,
+            digest=digest,
             future=loop.create_future(),
             expires_at=(None if request.deadline_s is None
                         else loop.time() + request.deadline_s),
@@ -514,7 +532,7 @@ class KernelServer:
                 pending, "deadline",
                 error=f"missed {request.deadline_s}s deadline")
             raise DeadlineExceeded(
-                f"request {request.id or request.digest[:12]} missed its "
+                f"request {request.id or digest[:12]} missed its "
                 f"{request.deadline_s}s deadline"
             ) from None
 
@@ -544,12 +562,32 @@ class KernelServer:
         return self._specs.resolve(overrides)
 
     @staticmethod
-    def _result_key(request: ServeRequest, spec: TechSpec) -> str:
-        """Result-cache key: request content digest + resolved spec
+    def _result_key(digest: str, spec: TechSpec) -> str:
+        """Result-cache key: request content *digest* + resolved spec
         digest.  The request digest already folds in the executor
         backend; appending the spec digest distinguishes identical
         requests served under different active specs."""
-        return f"{request.digest}:{spec.digest}"
+        return f"{digest}:{spec.digest}"
+
+    def _refuse(
+        self,
+        request: ServeRequest,
+        trace: Optional[TraceContext],
+        accepted_at: float,
+        status: str,
+        error: str,
+    ) -> None:
+        """Count and record a request turned away before queueing."""
+        _REQUESTS[status].inc()
+        if trace is not None:
+            flight = FlightRecord(
+                request_id=trace.request_id, trace_id=trace.trace_id,
+                kernel=request.kernel or request.kind,
+                backend=request.backend, status=status, error=error,
+                accepted_at=accepted_at, finished_at=time.perf_counter(),
+                closed=True)
+            self._flight.record(flight)
+            _LOG.warning("refused: %s", flight.describe())
 
     def _cache_get(self, digest: str) -> Optional[ServeResult]:
         with self._lock:
@@ -691,7 +729,7 @@ class KernelServer:
                 sizes = [p.request.words for p in live]
                 if request.operands:
                     merged_map, sizes = coalesce_operand_batches(
-                        [dict(p.request.operands) for p in live])
+                        [p.request.operand_arrays() for p in live])
                     merged = dict(merged_map)
                 total_words = sum(sizes)
                 _BATCH_WORDS.observe(total_words)
@@ -755,7 +793,7 @@ class KernelServer:
                 spec_digest=spec.digest,
                 batch_words=len(live),
                 batch_requests=len(live),
-                digest=pending.request.digest,
+                digest=pending.digest,
                 trace_id=self._trace_id_for(pending),
             )
             self._finish(pending, result, walls=walls)
@@ -781,7 +819,7 @@ class KernelServer:
             outputs: Dict[str, Tuple[int, ...]] = {}
             if part.outputs is not None:
                 outputs = {
-                    group: tuple(int(w) for w in part.word(group))
+                    group: tuple(part.word(group).tolist())
                     for group in part.word_outputs
                 }
             result = ServeResult(
@@ -797,7 +835,7 @@ class KernelServer:
                 spec_digest=pending.spec.digest,
                 batch_words=total_words,
                 batch_requests=len(live),
-                digest=pending.request.digest,
+                digest=pending.digest,
                 trace_id=self._trace_id_for(pending),
             )
             self._finish(pending, result, walls=walls)
@@ -812,8 +850,7 @@ class KernelServer:
         result: ServeResult,
         walls: Optional[List[float]] = None,
     ) -> None:
-        self._cache_put(
-            self._result_key(pending.request, pending.spec), result)
+        self._cache_put(self._result_key(pending.digest, pending.spec), result)
         if not pending.future.done():
             _REQUESTS["ok"].inc()
             pending.future.set_result(result)

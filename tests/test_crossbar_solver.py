@@ -542,8 +542,13 @@ class TestMultiRHS:
             np.testing.assert_allclose(
                 sol.junction_currents, single.junction_currents,
                 rtol=1e-9)
+            # Floating (undriven) columns carry ~1e-16 A of float noise
+            # that differs between factorizations; floor the comparison
+            # at 1e-9 of the largest driven column current.
+            driven = np.abs(single.col_currents[sorted(cd)]).max()
             np.testing.assert_allclose(
-                sol.col_currents, single.col_currents, rtol=1e-9)
+                sol.col_currents, single.col_currents, rtol=1e-9,
+                atol=1e-9 * driven)
 
     def test_solve_many_groups_by_structure(self):
         """Patterns driving the same line sets share one factorization:

@@ -12,22 +12,30 @@ batched run is bit-identical to serving each request alone.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import io
 import json
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engine import resolve_kernel, run_kernel
 from repro.errors import (
     DeadlineExceeded,
+    EngineError,
     ServeError,
     ServerOverloaded,
     TransientExecutorError,
 )
-from repro.serve import ServeRequest, request_from_dict, result_to_dict
+from repro.serve import (
+    ServeRequest,
+    make_request,
+    request_from_dict,
+    result_to_dict,
+)
 from repro.serve.frontend import serve_jsonl
 from repro.serve.server import KernelServer
 from repro.spec import TABLE1
@@ -98,6 +106,183 @@ class TestRequestProtocol:
         assert payload["id"] == "r"
         assert payload["outputs"]["sum"] == [3]
         json.dumps(payload)  # wire format must be JSON-serialisable
+
+
+#: Ways a caller may hand over one operand's words.
+OPERAND_FORMS = ("tuple", "list", "numpy-scalars", "int64-array",
+                 "uint64-array", "narrowest-array", "make_request")
+
+
+def operand_form(values, form):
+    values = list(values)
+    if form == "tuple":
+        return tuple(values)
+    if form == "numpy-scalars":
+        return [np.uint64(v) if v >> 63 else np.int64(v) for v in values]
+    if form == "int64-array" and max(values, default=0) >> 63 == 0:
+        return np.array(values, dtype=np.int64)
+    if form in ("int64-array", "uint64-array"):
+        return np.array(values, dtype=np.uint64)
+    if form == "narrowest-array":
+        return np.array(
+            values, dtype=np.min_scalar_type(max(values, default=0)))
+    return values
+
+
+def payload_request(payload, forms, *, backend="functional"):
+    """One adder request for ``(width, {name: words})`` with each
+    operand in the matching form of *forms*."""
+    width, operands = payload
+    if forms[0] == "make_request":
+        return make_request(kernel="adder", width=width, operands=operands,
+                            backend=backend)
+    return ServeRequest(
+        id="p", kernel="adder", width=width, backend=backend,
+        operands={name: operand_form(words, form) for (name, words), form
+                  in zip(sorted(operands.items()), forms)})
+
+
+#: Small value pools, so equal payloads come up often.
+PAYLOADS = st.tuples(
+    st.sampled_from([8, 16]),
+    st.dictionaries(
+        st.sampled_from(["a", "b", "c"]),
+        st.lists(st.sampled_from([0, 1, 2, 2**40, 2**63, 2**64 - 1]),
+                 max_size=3),
+        min_size=1, max_size=2),
+)
+FORMS = st.lists(st.sampled_from(OPERAND_FORMS), min_size=2, max_size=2)
+OUT_OF_RANGE = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(min_value=2**64),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestDigestProperties:
+    """Equal digests exactly when the canonical payloads are equal —
+    the result-cache contract — whatever form the operands take."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(first=PAYLOADS, data=st.data(), forms=FORMS, other_forms=FORMS)
+    def test_equal_digests_iff_equal_payloads(self, first, data, forms,
+                                               other_forms):
+        second = data.draw(st.one_of(st.just(first), PAYLOADS))
+        same = (first[0] == second[0] and
+                {k: tuple(v) for k, v in first[1].items()}
+                == {k: tuple(v) for k, v in second[1].items()})
+        one = payload_request(first, forms)
+        two = payload_request(second, other_forms)
+        assert (one.digest == two.digest) == same
+
+    def test_operand_boundaries_are_framed(self):
+        split_after_two = ServeRequest(
+            id="x", kernel="adder", width=8,
+            operands={"a": (1, 2), "b": (3,)})
+        split_after_one = ServeRequest(
+            id="x", kernel="adder", width=8,
+            operands={"a": (1,), "b": (2, 3)})
+        assert split_after_two.digest != split_after_one.digest
+
+    @settings(max_examples=150, deadline=None)
+    @given(payload=PAYLOADS, bad=OUT_OF_RANGE, form=st.sampled_from(
+        ["tuple", "list"]), at=st.integers(0, 3))
+    def test_out_of_range_values_digest_apart(self, payload, bad, form, at):
+        width, operands = payload
+        name = sorted(operands)[0]
+        words = list(operands[name])
+        at = min(at, len(words))
+        stray = ServeRequest(
+            id="x", kernel="adder", width=width,
+            operands={**operands, name: operand_form(
+                words[:at] + [bad] + words[at:], form)})
+        assert len(stray.digest) == 64
+        # The same stray payload in another container digests alike.
+        twin = ServeRequest(
+            id="y", kernel="adder", width=width,
+            operands={**operands, name: tuple(words[:at] + [bad] + words[at:])})
+        assert twin.digest == stray.digest
+        # No in-range stand-in for the stray value shares its digest.
+        for stand_in in {0, int(bad) % 2**64}:
+            in_range = payload_request(
+                (width, {**operands, name: words[:at] + [stand_in]
+                         + words[at:]}), ["list"] * len(operands))
+            assert in_range.digest != stray.digest
+
+    def test_replace_gets_a_fresh_digest(self):
+        request = adder_request("x", [1, 2], [3, 4])
+        assert request.digest is request.digest  # memoised
+        routed = dataclasses.replace(request, backend="electrical")
+        assert routed.digest != request.digest
+        assert routed.digest == adder_request(
+            "y", [1, 2], [3, 4], backend="electrical").digest
+        assert dataclasses.replace(request, operands={
+            "a": (1, 2), "b": (3, 5)}).digest == adder_request(
+                "z", [1, 2], [3, 5]).digest
+
+    def test_operand_arrays_are_read_only_and_operands_stay_tuples(self):
+        request = make_request(kernel="adder", width=8,
+                               operands={"a": np.array([1, 2]), "b": [3, 4]})
+        assert request.operands == {"a": (1, 2), "b": (3, 4)}
+        assert all(type(w) is int for w in request.operands["a"])
+        words = request.operand_array("a")
+        assert words.dtype == np.uint64 and not words.flags.writeable
+        assert request.operand_array("a") is words
+
+
+class TestMalformedRequestsFailAlone:
+    """A malformed request is refused on its own, before it is queued:
+    it names its own word index, and the valid requests of the same
+    batch window still coalesce and succeed."""
+
+    @staticmethod
+    def serve_between_neighbours(bad):
+        async def scenario():
+            async with KernelServer(max_wait_us=50_000) as server:
+                return await server.submit_many([
+                    adder_request("ok1", [1, 2, 3], [10, 20, 30]),
+                    bad,
+                    adder_request("ok2", [7], [8]),
+                ], return_exceptions=True)
+
+        first, error, second = run(scenario())
+        assert first.outputs["sum"] == (11, 22, 33)
+        assert second.outputs["sum"] == (15,)
+        assert first.batch_requests == second.batch_requests == 2
+        return error
+
+    @pytest.mark.parametrize("bad, message", [
+        (adder_request("bad", [1, 2], [3]),
+         "operand 'b' has 1 words, expected 2"),
+        (adder_request("bad", [5, 300], [1, 2]),
+         "operand 'a' word 1 = 300 does not fit in 8 bits"),
+        (adder_request("bad", [4, -1], [1, 2]),
+         "operand 'a' word 1 is negative (-1)"),
+        (adder_request("bad", [4, 2**64], [1, 2]),
+         f"operand 'a' word 1 = {2**64} does not fit in 64 bits"),
+        (adder_request("bad", [4, 2.5], [1, 2]),
+         "operand 'a' word 1 is float (2.5)"),
+    ], ids=["lengths", "too-wide", "negative", "huge", "non-integer"])
+    def test_bad_word_batch_fails_alone(self, bad, message):
+        error = self.serve_between_neighbours(bad)
+        assert isinstance(error, EngineError)
+        assert message in str(error)
+
+    def test_bad_bit_signal_fails_alone(self):
+        def comparator(request_id, a0):
+            return ServeRequest(id=request_id, kernel="comparator", width=2,
+                                operands={"a0": (a0,), "a1": (0,), "b": (1,)})
+
+        async def scenario():
+            async with KernelServer(max_wait_us=50_000) as server:
+                return await server.submit_many(
+                    [comparator("ok", 1), comparator("bad", 2)],
+                    return_exceptions=True)
+
+        good, error = run(scenario())
+        assert good.outputs["match"] == (1,)
+        assert isinstance(error, EngineError)
+        assert "operand 'a0' word 0 = 2 is not a bit (0/1)" in str(error)
 
 
 class TestBatchingAndCache:
