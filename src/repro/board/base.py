@@ -244,6 +244,12 @@ class Board(abc.ABC):
                 f"voltage vector shape {v.shape} does not match "
                 f"{self.rows} rows"
             )
+        if not np.isfinite(v).all():
+            bad = tuple(np.argwhere(~np.isfinite(v))[0])
+            where = (f"vector {bad[0]}, row {bad[1]}" if batched
+                     else f"row {bad[0]}")
+            raise BoardError(f"drive voltage at {where} must be finite, "
+                             f"got {float(v[bad])!r}")
         return v
 
     # -- the board verbs ---------------------------------------------------

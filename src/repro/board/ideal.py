@@ -5,7 +5,10 @@ every board verb to exactly the code the pre-board consumers called
 directly (``voltages @ G`` for ideal wires, the sparse nodal solver for
 IR drop), in the same floating-point operation order, so results are
 **bit-identical** to the legacy paths (property-tested in
-``tests/test_property_board.py``).  What it adds is uniformity: cost
+``tests/test_property_board.py``).  IR-drop column reads take the
+solver's terminal-current entry point, which answers a warm cache
+entry from its transfer matrix and matches the full solvers bit for
+bit on the same entry state.  What the board adds is uniformity: cost
 stats, the digest identity, and the same five verbs the noisy and
 hardware boards speak.
 """
@@ -17,9 +20,9 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..crossbar.solver import (
+    column_currents_with_wire_resistance,
     solve_ideal_wires,
     solve_junction_variants,
-    solve_many_with_wire_resistance,
     solve_with_wire_resistance,
 )
 from ..errors import BoardError
@@ -133,13 +136,11 @@ class IdealSimBoard(Board):
         self._charge_read(float((v ** 2) @ self._g_row_sums), words=1)
         if wire_resistance is None:
             return v @ self._g
-        row_drive = {i: float(v[i]) for i in range(self.rows)}
-        col_drive = {j: 0.0 for j in range(self.cols)}
-        solution = solve_with_wire_resistance(
-            self._g, row_drive, col_drive, wire_resistance=wire_resistance,
+        currents: np.ndarray = column_currents_with_wire_resistance(
+            self._g, v[None, :], wire_resistance=wire_resistance,
             backend=backend,
-        )
-        return solution.col_currents
+        )[0]
+        return currents
 
     def column_currents_many(
         self,
@@ -153,16 +154,8 @@ class IdealSimBoard(Board):
         self._charge_read(power, reads=v.shape[0], words=v.shape[0])
         if wire_resistance is None:
             return v @ self._g
-        col_drive = {j: 0.0 for j in range(self.cols)}
-        drives = [
-            ({i: float(row[i]) for i in range(self.rows)}, col_drive)
-            for row in v
-        ]
-        solutions = solve_many_with_wire_resistance(
-            self._g, drives, wire_resistance=wire_resistance,
-            backend=backend,
-        )
-        return np.stack([solution.col_currents for solution in solutions])
+        return column_currents_with_wire_resistance(
+            self._g, v, wire_resistance=wire_resistance, backend=backend)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -7,7 +7,8 @@ Public API:
   Kirchhoff solvers; :func:`solve_many_with_wire_resistance` batches
   drive patterns as multi-RHS blocks against shared factorizations and
   :func:`solve_junction_variants` answers single-cell conductance
-  changes by rank-1 update.
+  changes by rank-1 update; :func:`column_currents_with_wire_resistance`
+  answers warm batched column reads from a cached transfer matrix.
 * Bias schemes (:class:`FloatingBias`, :class:`GroundedBias`,
   :class:`VHalfBias`, :class:`VThirdBias`).
 * Junction options (:class:`OneR`, :class:`OneSelectorOneR`,
@@ -57,6 +58,7 @@ from .sneak import (
 from .solver import (
     CrossbarSolution,
     clear_factorization_cache,
+    column_currents_with_wire_resistance,
     scipy_available,
     solve_ideal_wires,
     solve_junction_variants,
@@ -71,6 +73,7 @@ __all__ = [
     "solve_with_wire_resistance",
     "solve_many_with_wire_resistance",
     "solve_junction_variants",
+    "column_currents_with_wire_resistance",
     "clear_factorization_cache",
     "scipy_available",
     "BiasScheme",

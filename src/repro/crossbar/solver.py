@@ -60,6 +60,33 @@ the next base.  Cache traffic is observable through the
 counter: ``miss`` counts real factorizations only, ``update`` derived
 entries.
 
+Terminal currents are linear in the drive voltages, so with pinned
+drivers one cache entry's column currents are ``c = T·V``: the
+*transfer matrix* ``T`` has one row per column line and one column per
+driver.  Writing the column-current functional (each line's junction
+sum) as ``L = [L_u, L_p]`` over unknown and pinned nodes, ``T = Wᵀ·B +
+L_p`` with ``B = -a_up`` and ``W = A⁻¹·L_uᵀ`` from the adjoint (``A`` is
+symmetric), one right-hand side per column line.
+:func:`column_currents_with_wire_resistance` — the board's
+``column_currents`` verbs — counts the columns it answers per
+*family* (a real entry plus every derived entry built on it) and builds
+the real entry's ``T`` once that count reaches the number of column
+lines, the adjoint build's break-even, so a one-off read never pays
+for it.  A derived entry moves its base's ``T`` through the Woodbury
+identity on first use, in O(nnz·k), and keeps the result (see
+:func:`_retarget`).  Junctions with both nodes pinned never reach the
+update's ``Z`` (no reduced matrix sees them) but still change ``L``, so
+they add ``δ`` at their pinned columns directly.  Every entry point
+answers from its entry's state *at call start*: from ``T`` if the
+family has one, else from junction sums.  Full solutions for the
+entry's own conductances then also take ``col_currents`` from ``T``,
+through one helper with the same block shape, so the board and the
+solvers agree bit for bit; variant solutions keep their junction sums.
+Only the terminal-current verb counts and builds, after answering, so a
+cold first answer is exactly the junction sum.  ``T`` is published
+under the cache lock, and the ``crossbar_transfer_total{result=build|
+update}`` counter records base builds and derived moves.
+
 Both solvers return a :class:`CrossbarSolution` with node voltages, the
 junction current matrix, and per-line terminal currents.  Terminal
 currents of the wire-resistance solver are recovered by summing each
@@ -70,7 +97,8 @@ wire segment: the voltage drop across one segment shrinks like
 difference cancelled catastrophically and row/column totals disagreed
 by ~0.4% at ``wire_resistance=1e-9``.  Junction voltage differences
 stay O(1), so charge conservation now holds to solver tolerance at any
-wire resistance.
+wire resistance.  Column currents answered from a transfer matrix
+conserve it to rounding of the same order.
 
 Conditioning caveat: at extreme wire-to-junction conductance ratios
 (``g_wire / g_junction`` around 1e13, e.g. ``wire_resistance=1e-9``
@@ -134,6 +162,10 @@ LOW_RANK_MAX = 32
 #: afresh instead.
 _UPDATE_GROWTH_MAX = 10.0
 
+#: Column lines per adjoint block when a sparse entry builds its
+#: transfer matrix: bounds the dense ``A⁻¹·L_uᵀ`` block held at once.
+_TRANSFER_BLOCK = 8
+
 _BACKENDS = ("auto", "sparse", "dense")
 
 _REGISTRY = get_registry()
@@ -154,6 +186,11 @@ _CACHE_LOOKUPS = _REGISTRY.counter(
 _CACHE_HIT = _CACHE_LOOKUPS.labels(result="hit")
 _CACHE_MISS = _CACHE_LOOKUPS.labels(result="miss")
 _CACHE_UPDATE = _CACHE_LOOKUPS.labels(result="update")
+_TRANSFER = _REGISTRY.counter(
+    "crossbar_transfer_total",
+    "wire-resistance transfer matrices by how they were made")
+_TRANSFER_BUILD = _TRANSFER.labels(result="build")
+_TRANSFER_UPDATE = _TRANSFER.labels(result="update")
 
 
 def scipy_available() -> bool:
@@ -319,8 +356,12 @@ class _Factorization:
     ``position`` maps every node to its reduced index (-1 = pinned).
     A *real* entry keeps the conductances it factored (``g``) and
     memoises ``A⁻¹u`` per junction cell (``columns``) for the derived
-    entries built on it; a derived entry has ``g=None`` and is never
-    used as a base.
+    entries built on it; a derived entry has ``g=None``, points at that
+    real entry (``base``) and is never used as a base itself.  The real
+    entry also counts the columns the terminal-current verb answered
+    for its whole family (``served``).  ``transfer`` is the entry's
+    transfer matrix once its family has one; a derived entry computes
+    its own from its base's through ``retarget``.
     """
 
     backend: str
@@ -335,6 +376,10 @@ class _Factorization:
     solve: Callable[[np.ndarray], np.ndarray]
     g: Optional[np.ndarray] = None
     columns: Dict[int, np.ndarray] = field(default_factory=dict)
+    base: Optional["_Factorization"] = None
+    served: int = 0
+    transfer: Optional[np.ndarray] = None
+    retarget: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
 
 _CACHE_LOCK = threading.Lock()
@@ -656,12 +701,21 @@ def _derive(
     None when the low-rank update is unsafe (factor afresh instead)."""
     d = g.ravel()[cells] - base.g.ravel()[cells]
     pi, pj = _ports(base, cells)
+    # Each junction node's column in the pinned (driver) block; -1 = free.
+    qi, qj = (np.where(p < 0, np.searchsorted(base.pinned, nodes), -1)
+              for p, nodes in ((pi, cells), (pj, base.n_nodes // 2 + cells)))
+    lines = cells % base.g.shape[1]
     # A junction with both nodes pinned only re-routes current through
-    # the ideal sources: no reduced matrix sees it.
-    free = (pi >= 0) | (pj >= 0)
-    cells, d, pi, pj = cells[free], d[free], pi[free], pj[free]
+    # the ideal sources: no reduced matrix sees it, only its column
+    # line's current does.
+    both = (pi < 0) & (pj < 0)
+    pinned = (lines[both], d[both], qi[both], qj[both])
+    free = ~both
+    cells, d, pi, pj, qi, qj, lines = (
+        a[free] for a in (cells, d, pi, pj, qi, qj, lines))
     if not cells.size:
-        return replace(base, g=None, columns={})
+        return replace(base, g=None, columns={}, base=base, transfer=None,
+                       retarget=_retarget(base, pinned, None))
     try:
         z = _base_columns(base, cells, pi, pj)
     except CrossbarError:
@@ -693,13 +747,127 @@ def _derive(
         # Pinned drivers: a junction with one pinned node also changes
         # the coupling block, at the pinned node's column (a write away
         # from the driven line ends leaves it as it is).
-        q = tuple(np.where(p < 0, np.searchsorted(base.pinned, nodes), -1)
-                  for p, nodes in ((pi, cells), (pj, base.n_nodes // 2 + cells)))
-        a_up = _Stamped(a_up, (pi, pj), q, d)
+        a_up = _Stamped(a_up, (pi, pj), (qi, qj), d)
     return replace(
         base, a_red=_Stamped(base.a_red, (pi, pj), (pi, pj), d), a_up=a_up,
-        solve=solve, g=None, columns={},
+        solve=solve, g=None, columns={}, base=base, transfer=None,
+        retarget=_retarget(base, pinned,
+                           (lines, d, pi, pj, qi, qj, z, gain)),
     )
+
+
+def _line_coefficients(fact: _Factorization) -> np.ndarray:
+    """The column-current functional ``c_j = Σ_r g[r,j]·(x_row(r,j) -
+    x_col(r,j))`` of real entry *fact*, as one coefficient per node;
+    node ``i`` feeds column line ``i % cols``."""
+    return np.concatenate([fact.g.ravel(), -fact.g.ravel()])
+
+
+def _build_transfer(fact: _Factorization) -> np.ndarray:
+    """Real entry *fact*'s transfer matrix ``T = Wᵀ·B + L_p`` (one row
+    per column line, one column per pinned driver), with ``B = -a_up``
+    and ``W = A⁻¹·L_uᵀ`` solved from the adjoint — ``A`` is symmetric —
+    in blocks of :data:`_TRANSFER_BLOCK` lines, each folded into ``T``
+    at once so the dense ``W`` never exists.  The dense backend
+    refactors on every solve, so it takes all lines in one block."""
+    coef = _line_coefficients(fact)
+    lines = fact.g.shape[1]
+    line = np.arange(fact.n_nodes) % lines
+    transfer = np.zeros((lines, fact.pinned.size))
+    transfer[line[fact.pinned], np.arange(fact.pinned.size)] = coef[fact.pinned]
+    if not fact.unknown.size:
+        return transfer
+    u_line, u_coef = line[fact.unknown], coef[fact.unknown]
+    step = _TRANSFER_BLOCK if fact.backend == "sparse" else lines
+    for first in range(0, lines, step):
+        last = min(first + step, lines)
+        nodes = np.flatnonzero((u_line >= first) & (u_line < last))
+        adjoint = np.zeros((fact.unknown.size, last - first))
+        adjoint[nodes, u_line[nodes] - first] = u_coef[nodes]
+        transfer[first:last] -= (fact.a_up.T @ fact.solve(adjoint)).T
+    return transfer
+
+
+def _retarget(
+    base: _Factorization,
+    pinned: Tuple[np.ndarray, ...],
+    update: Optional[Tuple[np.ndarray, ...]],
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Map *base*'s transfer matrix to a derived entry's conductances.
+
+    *pinned* holds ``(line, δ, qi, qj)`` of the changed junctions with
+    both nodes pinned: they move only their column's current, by ``δ``
+    at their pinned driver columns.  *update* holds ``(line, δ, pi, pj,
+    qi, qj, Z, gain)`` of the others, with ``gain = (I + D·UᵀZ)⁻¹·D``;
+    Woodbury then gives, in O(nnz·k),
+
+        T' = T + S·D·(ZᵀB + Qᵀ) - (L_u·Z + S·D·UᵀZ)·M,
+        M  = D·Qᵀ + gain·(ZᵀB - UᵀZ·D·Qᵀ),
+
+    with ``S`` mapping each junction to its column line, ``Q`` its
+    pinned ports, and ``UᵀX_u = ZᵀB`` by symmetry.
+    """
+
+    def retarget(transfer: np.ndarray) -> np.ndarray:
+        transfer = transfer.copy()
+        line, d, qi, qj = pinned
+        for ports, sign in ((qi, 1.0), (qj, -1.0)):
+            np.add.at(transfer, (line, ports), sign * d)
+        if update is None:
+            return transfer
+        line, d, pi, pj, qi, qj, z, gain = update
+        k = d.size
+        q_t = np.zeros((k, transfer.shape[1]))
+        for ports, sign in ((qi, 1.0), (qj, -1.0)):
+            hit = np.flatnonzero(ports >= 0)
+            q_t[hit, ports[hit]] = sign
+        z_b = -(base.a_up.T @ z).T
+        u_z = _u_dot(z, pi, pj)
+        d_q = d[:, None] * q_t
+        m = d_q + gain @ (z_b - u_z @ d_q)
+        s_d = np.zeros((transfer.shape[0], k))
+        s_d[line, np.arange(k)] = d
+        x = np.zeros((base.n_nodes, k))
+        x[base.unknown] = z
+        l_z = (_line_coefficients(base)[:, None] * x).reshape(
+            -1, transfer.shape[0], k).sum(axis=0)
+        transfer += s_d @ (z_b + q_t) - (l_z + s_d @ u_z) @ m
+        return transfer
+
+    return retarget
+
+
+def _transfer(fact: _Factorization) -> Optional[np.ndarray]:
+    """*fact*'s transfer matrix if its family has one, else None.  A
+    derived entry moves its base's on first use and keeps the result."""
+    if fact.transfer is not None or fact.base is None:
+        return fact.transfer
+    if fact.base.transfer is None or fact.retarget is None:
+        return None
+    transfer = fact.retarget(fact.base.transfer)
+    with _CACHE_LOCK:
+        if fact.transfer is None:
+            fact.transfer = transfer
+            _TRANSFER_UPDATE.inc()
+        return fact.transfer
+
+
+def _note_served(fact: _Factorization, count: int) -> None:
+    """Count *count* columns the terminal-current verb answered from
+    *fact*; once its family has served as many as the array has column
+    lines (the adjoint build's break-even), build the family's transfer
+    matrix on its real entry."""
+    root = fact if fact.base is None else fact.base
+    with _CACHE_LOCK:
+        root.served += count
+        due = root.transfer is None and root.served >= root.g.shape[1]
+    if not due:
+        return
+    transfer = _build_transfer(root)
+    with _CACHE_LOCK:
+        if root.transfer is None:
+            root.transfer = transfer
+            _TRANSFER_BUILD.inc()
 
 
 def _get_factorization(
@@ -828,8 +996,18 @@ def _solve_node_voltages(
     return x, solved[:, k:]
 
 
-def _wire_solution(g: np.ndarray, x: np.ndarray) -> CrossbarSolution:
-    """Package one node-voltage vector as a :class:`CrossbarSolution`."""
+def _transfer_currents(transfer: np.ndarray, drive_volts: np.ndarray) -> np.ndarray:
+    """``T·V``: column currents ``(cols, k)`` for a ``(n_drivers, k)``
+    drive block.  Every entry point answers a family's block through
+    here, so the same block gets the same bits from each of them."""
+    return transfer @ drive_volts
+
+
+def _wire_solution(
+    g: np.ndarray, x: np.ndarray, col_currents: Optional[np.ndarray] = None
+) -> CrossbarSolution:
+    """Package one node-voltage vector as a :class:`CrossbarSolution`;
+    *col_currents*, when given, come from the entry's transfer matrix."""
     rows, cols = g.shape
     rc = rows * cols
     v_row = x[:rc].reshape(rows, cols)
@@ -845,7 +1023,8 @@ def _wire_solution(g: np.ndarray, x: np.ndarray) -> CrossbarSolution:
         col_voltages=v_col,
         junction_currents=currents,
         row_currents=currents.sum(axis=1),
-        col_currents=currents.sum(axis=0),
+        col_currents=currents.sum(axis=0) if col_currents is None
+        else col_currents,
     )
 
 
@@ -895,11 +1074,13 @@ def solve_with_wire_resistance(
     fact = _get_factorization(
         g, row_idx, col_idx, wire_resistance, driver_resistance, backend
     )
+    transfer = _transfer(fact)
     drive_volts = np.array(
         [row_drive[r] for r in row_idx] + [col_drive[c] for c in col_idx]
-    )
-    x, _ = _solve_node_voltages(fact, drive_volts[:, None])
-    return _wire_solution(g, x[:, 0])
+    )[:, None]
+    x, _ = _solve_node_voltages(fact, drive_volts)
+    return _wire_solution(g, x[:, 0], None if transfer is None
+                          else _transfer_currents(transfer, drive_volts)[:, 0])
 
 
 def solve_many_with_wire_resistance(
@@ -949,6 +1130,7 @@ def solve_many_with_wire_resistance(
         fact = _get_factorization(
             g, row_idx, col_idx, wire_resistance, driver_resistance, backend
         )
+        transfer = _transfer(fact)
         drive_volts = np.empty((len(row_idx) + len(col_idx), len(members)))
         for column, index in enumerate(members):
             row_drive, col_drive = drives[index]
@@ -957,9 +1139,61 @@ def solve_many_with_wire_resistance(
                 + [col_drive[c] for c in col_idx]
             )
         x, _ = _solve_node_voltages(fact, drive_volts)
+        currents = (None if transfer is None
+                    else _transfer_currents(transfer, drive_volts))
         for column, index in enumerate(members):
-            solutions[index] = _wire_solution(g, x[:, column])
+            solutions[index] = _wire_solution(
+                g, x[:, column], None if currents is None
+                else currents[:, column])
     return [s for s in solutions if s is not None]
+
+
+def column_currents_with_wire_resistance(
+    conductances: np.ndarray,
+    row_volts: np.ndarray,
+    wire_resistance: float = 1.0,
+    backend: str = "auto",
+) -> np.ndarray:
+    """Column terminal currents ``(k, cols)`` for a ``(k, rows)`` block
+    of row voltages, every column grounded and every driver ideal.
+
+    The batched analog read (the board's ``column_currents`` verbs)
+    needs only terminal currents, which are linear in the drive
+    voltages.  Until the cache entry's family has a transfer matrix,
+    the block goes through the factorization as one multi-column solve
+    and each column current is its line's junction-current sum, bit for
+    bit what :func:`solve_many_with_wire_resistance` returns.  Once the
+    family has served as many columns as the array has column lines it
+    builds one, and later reads are a ``(cols, drivers)`` matrix
+    product with no sparse solve (see the module docstring).
+    """
+    g, backend = _validate_wire_problem(conductances, wire_resistance, 0.0,
+                                        backend)
+    rows, cols = g.shape
+    v = np.asarray(row_volts, dtype=float)
+    if v.ndim != 2 or v.shape[1] != rows:
+        raise CrossbarError(
+            f"row voltage block shape {v.shape} does not match (k, {rows})")
+    if not np.isfinite(v).all():
+        k, row = np.argwhere(~np.isfinite(v))[0]
+        raise CrossbarError(f"drive pattern {k}: row {row} drive voltage "
+                            f"must be finite, got {float(v[k, row])!r}")
+    if not v.shape[0]:
+        return np.empty((0, cols))
+    fact = _get_factorization(g, tuple(range(rows)), tuple(range(cols)),
+                              wire_resistance, 0.0, backend)
+    transfer = _transfer(fact)
+    drive_volts = np.zeros((rows + cols, v.shape[0]))
+    drive_volts[:rows] = v.T
+    if transfer is not None:
+        _SOLVES_WIRE.inc(v.shape[0])
+        currents = _transfer_currents(transfer, drive_volts).T
+    else:
+        x, _ = _solve_node_voltages(fact, drive_volts)
+        currents = np.stack([_wire_solution(g, x[:, k]).col_currents
+                             for k in range(v.shape[0])])
+    _note_served(fact, v.shape[0])
+    return currents
 
 
 def solve_junction_variants(
@@ -1027,11 +1261,13 @@ def solve_junction_variants(
     pi, pj, d = pi[active], pj[active], deltas[active]
     # The base right-hand side and every active variant's u column go
     # through the factorization as one multi-RHS block.
+    transfer = _transfer(fact)
     x, z = _solve_node_voltages(
         fact, drive_volts[:, None],
         _u_columns(pi, pj, fact.unknown.size) if active.size else None)
     x_base = x[:, 0]
-    base = _wire_solution(g, x_base)
+    base = _wire_solution(g, x_base, None if transfer is None else
+                          _transfer_currents(transfer, drive_volts[:, None])[:, 0])
     y0 = x_base[fact.unknown]
     slot = dict(zip(active.tolist(), range(active.size)))
     if active.size:
@@ -1074,6 +1310,9 @@ def solve_junction_variants(
 
 
 def _check_drive(drive: LineDrive, count: int, kind: str) -> None:
-    for index in drive:
+    for index, volts in drive.items():
         if not 0 <= index < count:
             raise CrossbarError(f"{kind} index {index} outside 0..{count - 1}")
+        if not math.isfinite(volts):
+            raise CrossbarError(
+                f"{kind} {index} drive voltage must be finite, got {volts!r}")

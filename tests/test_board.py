@@ -199,6 +199,61 @@ class TestIdealBoard:
         assert machine.technology is TABLE1.memristor
 
 
+class TestNonFiniteDrive:
+    """A NaN or infinite drive voltage is refused, naming its line,
+    before the read is charged or solved: ideal wires used to return it
+    silently and IR drop to report a singular system, and both left
+    ``stats.energy`` NaN for good."""
+
+    @staticmethod
+    def _board():
+        board = IdealSimBoard(4, 4)
+        board.program(_conductances())
+        board.column_currents(np.full(4, 0.1))  # a finite history
+        return board
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("wire_resistance", [None, 1.0])
+    def test_column_currents(self, bad, wire_resistance):
+        board = self._board()
+        before = board.stats.as_dict()
+        v = np.full(4, 0.1)
+        v[1] = bad
+        with pytest.raises(BoardError, match="row 1 must be finite"):
+            board.column_currents(v, wire_resistance=wire_resistance)
+        assert board.stats.as_dict() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("wire_resistance", [None, 1.0])
+    def test_column_currents_many(self, bad, wire_resistance):
+        board = self._board()
+        before = board.stats.as_dict()
+        v = np.full((3, 4), 0.1)
+        v[2, 1] = bad
+        with pytest.raises(BoardError, match="vector 2, row 1 must be finite"):
+            board.column_currents_many(v, wire_resistance=wire_resistance)
+        assert board.stats.as_dict() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("wire_resistance", [None, 1.0])
+    def test_read_iv(self, bad, wire_resistance):
+        board = self._board()
+        before = board.stats.as_dict()
+        with pytest.raises(CrossbarError, match="row 0 drive voltage must be finite"):
+            board.read_iv({0: bad}, {0: 0.0}, wire_resistance=wire_resistance)
+        with pytest.raises(CrossbarError, match="col 2 drive voltage must be finite"):
+            board.read_iv({0: 0.1}, {2: bad}, wire_resistance=wire_resistance)
+        assert board.stats.as_dict() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_read_iv_variants(self, bad):
+        board = self._board()
+        before = board.stats.as_dict()
+        with pytest.raises(CrossbarError, match="row 0 drive voltage must be finite"):
+            board.read_iv_variants({0: bad}, {0: 0.0}, [(0, 0, 1e-4)])
+        assert board.stats.as_dict() == before
+
+
 class TestNoisyBoard:
     def test_zero_noise_matches_ideal(self):
         g = _conductances()

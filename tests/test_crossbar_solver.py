@@ -8,10 +8,12 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.board import IdealSimBoard
 from repro.crossbar.solver import (
     DENSE_NODE_LIMIT,
     LOW_RANK_MAX,
     clear_factorization_cache,
+    column_currents_with_wire_resistance,
     factorization_cache_len,
     scipy_available,
     solve_ideal_wires,
@@ -22,6 +24,9 @@ from repro.crossbar.solver import (
     _CACHE_MISS,
     _CACHE_UPDATE,
     _FACTOR_CACHE,
+    _SOLVES_WIRE,
+    _TRANSFER_BUILD,
+    _TRANSFER_UPDATE,
     _ports,
     _u_columns,
 )
@@ -121,6 +126,28 @@ class TestValidation:
         g = np.array([[1e-3, 0.0], [0.0, 0.0]])
         with pytest.raises(CrossbarError):
             solve_ideal_wires(g, {0: 1.0}, {0: 0.0})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_drive(self, bad):
+        """Refused by name, not reported as a singular system (IR drop)
+        or returned as NaN currents (ideal wires)."""
+        g = np.full((3, 3), 1e-4)
+        for solve in (solve_ideal_wires, solve_with_wire_resistance):
+            with pytest.raises(CrossbarError,
+                               match="row 1 drive voltage must be finite"):
+                solve(g, {0: 0.1, 1: bad}, {0: 0.0})
+            with pytest.raises(CrossbarError,
+                               match="col 2 drive voltage must be finite"):
+                solve(g, {0: 0.1}, {2: bad})
+        with pytest.raises(CrossbarError, match="pattern 1: row 0 drive"):
+            solve_many_with_wire_resistance(
+                g, [({0: 0.1}, {0: 0.0}), ({0: bad}, {0: 0.0})])
+        with pytest.raises(CrossbarError, match="row 0 drive voltage"):
+            solve_junction_variants(g, {0: bad}, {0: 0.0}, [(1, 1, 1e-5)])
+        volts = np.full((2, 3), 0.1)
+        volts[1, 2] = bad
+        with pytest.raises(CrossbarError, match="pattern 1: row 2 drive"):
+            column_currents_with_wire_resistance(g, volts)
 
 
 class TestWireResistance:
@@ -611,3 +638,151 @@ class TestMultiRHS:
             solve_junction_variants(
                 g, {0: 1.0}, {0: 0.0}, [(0, 0, -1e-4)],
                 wire_resistance=1.0)
+
+
+class TestTransferMatrix:
+    """Warm column reads from a family's transfer matrix: a cold answer
+    keeps its junction-sum bits, every entry point answers one entry's
+    block with the same bits, and only the terminal-current verb pays
+    for a build."""
+
+    def setup_method(self):
+        clear_factorization_cache()
+
+    @staticmethod
+    def _board(rows=6, cols=5, seed=2):
+        rng = np.random.default_rng(seed)
+        board = IdealSimBoard(rows, cols)
+        board.program(np.where(rng.random((rows, cols)) < 0.5, 1e-4, 1e-6))
+        return board, rng.uniform(-0.2, 0.2, (cols + 2, rows))
+
+    @staticmethod
+    def _drives(volts, cols):
+        grounded = {c: 0.0 for c in range(cols)}
+        return [({r: float(v) for r, v in enumerate(row)}, grounded)
+                for row in volts]
+
+    def test_cold_read_is_the_junction_sum(self):
+        board, volts = self._board()
+        got = board.column_currents_many(volts, wire_resistance=2.0)
+        clear_factorization_cache()
+        cold = solve_many_with_wire_resistance(
+            board.read_conductances(), self._drives(volts, board.cols),
+            wire_resistance=2.0)
+        for k, solution in enumerate(cold):
+            assert np.array_equal(got[k],
+                                  solution.junction_currents.sum(axis=0))
+
+    def test_board_and_solver_agree_once_built(self):
+        board, volts = self._board()
+        builds = _TRANSFER_BUILD.value
+        board.column_currents_many(volts, wire_resistance=2.0)
+        assert _TRANSFER_BUILD.value == builds + 1
+        (entry,) = _FACTOR_CACHE.values()
+        assert entry.transfer is not None
+        drives = self._drives(volts, board.cols)
+        g = board.read_conductances()
+        for _ in range(2):
+            got = board.column_currents_many(volts, wire_resistance=2.0)
+            want = solve_many_with_wire_resistance(g, drives,
+                                                   wire_resistance=2.0)
+            assert np.array_equal(got, np.stack([s.col_currents
+                                                 for s in want]))
+            single = solve_with_wire_resistance(g, *drives[0],
+                                                wire_resistance=2.0)
+            assert np.array_equal(
+                board.column_currents(volts[0], wire_resistance=2.0),
+                single.col_currents)
+        # T-answered columns still count as solves; the build only once.
+        solves = _SOLVES_WIRE.value
+        board.column_currents_many(volts, wire_resistance=2.0)
+        assert _SOLVES_WIRE.value == solves + len(volts)
+        assert _TRANSFER_BUILD.value == builds + 1
+
+    def test_one_off_read_builds_nothing(self):
+        board, volts = self._board()
+        builds = _TRANSFER_BUILD.value
+        board.column_currents_many(volts[:board.cols - 1],
+                                   wire_resistance=2.0)
+        assert _TRANSFER_BUILD.value == builds
+        assert all(entry.transfer is None for entry in _FACTOR_CACHE.values())
+        # Full solves never count toward the build.
+        for _ in range(3):
+            solve_many_with_wire_resistance(
+                board.read_conductances(), self._drives(volts, board.cols),
+                wire_resistance=2.0)
+        assert _TRANSFER_BUILD.value == builds
+
+    def test_written_family_updates_instead_of_rebuilding(self):
+        board, volts = self._board()
+        board.column_currents_many(volts, wire_resistance=2.0)
+        builds, updates = _TRANSFER_BUILD.value, _TRANSFER_UPDATE.value
+        for row, col in ((3, 2), (0, 4), (2, 0), (0, 0)):
+            board.pulse(row, col, 1e-4 if board.read_conductances()[row, col]
+                        < 1e-5 else 1e-6)
+            got = board.column_currents_many(volts, wire_resistance=2.0)
+            g = board.read_conductances()
+            clear_factorization_cache()
+            cold = np.stack([s.col_currents for s in
+                             solve_many_with_wire_resistance(
+                                 g, self._drives(volts, board.cols),
+                                 wire_resistance=2.0)])
+            assert np.abs(got - cold).max() <= 1e-9 * np.abs(cold).max()
+            clear_factorization_cache()
+            board.column_currents_many(volts, wire_resistance=2.0)  # rebuild
+            builds += 1
+        assert _TRANSFER_BUILD.value == builds
+        assert _TRANSFER_UPDATE.value == updates + 4
+
+    def test_concurrent_reads_share_one_build(self):
+        """Threads reading written arrays of one family at once — a short
+        switch interval forces them to interleave — all get the cold
+        answer, and the family's transfer matrix is built once."""
+        rng = np.random.default_rng(13)
+        g = np.where(rng.random((8, 8)) < 0.5, 1e-4, 1e-6)
+        volts = rng.uniform(-0.2, 0.2, (3, 8))
+        writes = []
+        for _ in range(10):
+            written = g.copy()
+            cells = rng.choice(g.size, int(rng.integers(1, 4)), replace=False)
+            written.ravel()[cells] = rng.uniform(1e-6, 1e-4, cells.size)
+            writes.append(written)
+        expected = []
+        for written in writes:
+            clear_factorization_cache()
+            expected.append(column_currents_with_wire_resistance(
+                written, volts))
+        clear_factorization_cache()
+        column_currents_with_wire_resistance(g, volts)  # the shared base
+        builds, misses = _TRANSFER_BUILD.value, _CACHE_MISS.value
+        errors = []
+
+        def worker(offset):
+            try:
+                for k in range(2 * len(writes)):
+                    i = (k + offset) % len(writes)
+                    got = column_currents_with_wire_resistance(
+                        writes[i], volts)
+                    error = np.abs(got - expected[i]).max()
+                    if error > 1e-9 * np.abs(expected[i]).max():
+                        errors.append((i, error))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert _CACHE_MISS.value == misses
+        assert _TRANSFER_BUILD.value == builds + 1
+        (base,) = [f for f in _FACTOR_CACHE.values() if f.g is not None]
+        assert base.served == 3 + 6 * 2 * len(writes) * 3

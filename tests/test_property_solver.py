@@ -15,6 +15,7 @@ from repro.crossbar import solver
 from repro.crossbar.solver import (
     LOW_RANK_MAX,
     clear_factorization_cache,
+    column_currents_with_wire_resistance,
     scipy_available,
     solve_ideal_wires,
     solve_junction_variants,
@@ -321,6 +322,12 @@ class SingleCellWrites(RuleBasedStateMachine):
         self.g[cell] = G_HRS if self.g[cell] == G_LRS else G_LRS
 
     @rule()
+    def toggle_corner(self):
+        """Cell (0, 0): both its nodes are pinned when every line is
+        driven, so only its column's current moves."""
+        self.g[0, 0] = G_HRS if self.g[0, 0] == G_LRS else G_LRS
+
+    @rule()
     def burst_past_cap(self):
         """LOW_RANK_MAX + 1 single-cell writes with no read between."""
         for flat in self.rng.choice(self.g.size, LOW_RANK_MAX + 1,
@@ -358,6 +365,26 @@ class SingleCellWrites(RuleBasedStateMachine):
                     g_var, rd, cd, **self.options))
                 _assert_agrees(solution, want, g_var, f"variant ({r}, {c})")
 
+    @rule(count=st.integers(min_value=1, max_value=8))
+    def read_columns(self, count):
+        """The terminal-current verb — junction sums until its family
+        has served as many columns as the array has column lines, then
+        a transfer matrix, moved across later writes — against cold
+        full solves, to LOW_RANK_RTOL of the largest column current."""
+        g = self.g.copy()
+        rows, cols = g.shape
+        options = dict(wire_resistance=self.options["wire_resistance"],
+                       backend=self.options["backend"])
+        volts = self.rng.uniform(-1.0, 1.0, (count, rows))
+        got = column_currents_with_wire_resistance(g, volts, **options)
+        grounded = {c: 0.0 for c in range(cols)}
+        for k, row in enumerate(volts):
+            want = _cold(lambda: solve_with_wire_resistance(
+                g, {r: float(v) for r, v in enumerate(row)}, grounded,
+                **options)).col_currents
+            error = np.abs(got[k] - want).max()
+            assert error <= LOW_RANK_RTOL * np.abs(want).max(), (k, error)
+
     @invariant()
     def cache_stays_bounded(self):
         assert solver.factorization_cache_len() <= solver.FACTORIZATION_CACHE_SIZE
@@ -369,3 +396,33 @@ class SingleCellWrites(RuleBasedStateMachine):
 TestSingleCellWrites = SingleCellWrites.TestCase
 TestSingleCellWrites.settings = settings(
     max_examples=40, stateful_step_count=30, deadline=None)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_both_pinned_write_moves_only_its_column(backend):
+    """With every line driven, both nodes of cell (0, 0) are pinned: a
+    write there moves no node voltage, so column 0's current moves by
+    exactly δ·V_0 and no other column moves.  The derived entry's
+    transfer matrix must carry that δ even though no reduced matrix
+    sees the junction."""
+    rng = np.random.default_rng(4)
+    g = np.where(rng.random((6, 6)) < 0.5, G_LRS, G_HRS)
+    volts = rng.uniform(-1.0, 1.0, (6, 6))
+    clear_factorization_cache()
+    before = column_currents_with_wire_resistance(
+        g, volts, wire_resistance=1.0, backend=backend)
+    built = solver._TRANSFER_BUILD.value
+    before = column_currents_with_wire_resistance(  # now from the transfer matrix
+        g, volts, wire_resistance=1.0, backend=backend)
+    assert solver._TRANSFER_BUILD.value == built
+    written = g.copy()
+    written[0, 0] = G_HRS if g[0, 0] == G_LRS else G_LRS
+    updates = solver._TRANSFER_UPDATE.value
+    after = column_currents_with_wire_resistance(
+        written, volts, wire_resistance=1.0, backend=backend)
+    assert solver._TRANSFER_UPDATE.value == updates + 1
+    expected = before.copy()
+    expected[:, 0] += (written[0, 0] - g[0, 0]) * volts[:, 0]
+    np.testing.assert_allclose(after, expected, rtol=0,
+                               atol=1e-12 * np.abs(before).max())
+    clear_factorization_cache()
