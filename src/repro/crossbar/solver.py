@@ -87,6 +87,28 @@ cold first answer is exactly the junction sum.  ``T`` is published
 under the cache lock, and the ``crossbar_transfer_total{result=build|
 update}`` counter records base builds and derived moves.
 
+Full solutions need every node voltage, which with pinned drivers is
+linear in the few drive voltages too: ``x_u = R·V`` for the *port
+response* ``R = A⁻¹·B``, one column per driver.  A family with at most
+:data:`_TRANSFER_BLOCK` pinned drivers — the Fig. 3 read drives one row
+and one column — counts the drive columns the full-solution entry
+points (:func:`solve_with_wire_resistance`,
+:func:`solve_many_with_wire_resistance`,
+:func:`solve_junction_variants`) answer.  Once it has answered as many
+as it has drivers, the next such call first builds ``R`` on the real
+entry (one multi-RHS solve, held over every node with the identity at
+the pinned rows), so a one-off call never builds one and a cold first
+answer is unchanged.  A derived entry moves its base's ``R`` on first
+use as ``R' = R - Z·M``, with the same ``M`` its transfer-matrix move
+uses (see :func:`_port_update`); junctions with both nodes pinned leave
+``R`` as it is.  Node voltages come from :func:`_solve_node_voltages` alone,
+which reads the entry's ``R`` at call start, so every entry point —
+the terminal-current verb's junction sums included — answers one entry
+state with the same bits, and only extra right-hand sides (the rank-1
+``u`` columns of active variants) still go through the factorization.
+The ``crossbar_response_total{result=build|update}`` counter records
+base builds and derived moves.
+
 Both solvers return a :class:`CrossbarSolution` with node voltages, the
 junction current matrix, and per-line terminal currents.  Terminal
 currents of the wire-resistance solver are recovered by summing each
@@ -117,6 +139,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
@@ -191,6 +214,11 @@ _TRANSFER = _REGISTRY.counter(
     "wire-resistance transfer matrices by how they were made")
 _TRANSFER_BUILD = _TRANSFER.labels(result="build")
 _TRANSFER_UPDATE = _TRANSFER.labels(result="update")
+_RESPONSE = _REGISTRY.counter(
+    "crossbar_response_total",
+    "wire-resistance port responses by how they were made")
+_RESPONSE_BUILD = _RESPONSE.labels(result="build")
+_RESPONSE_UPDATE = _RESPONSE.labels(result="update")
 
 
 def scipy_available() -> bool:
@@ -198,17 +226,21 @@ def scipy_available() -> bool:
     return _HAVE_SCIPY
 
 
-def _note_solve(counter, a, b: np.ndarray, x: np.ndarray, count: int = 1) -> None:
-    """Record *count* solves; the residual check runs only under tracing.
+def _note_solve(counter, unknowns: int, count: int,
+                system: Callable[[], Tuple]) -> None:
+    """Record *count* solves of a system with *unknowns* unknowns.
 
-    *a* may be a dense ndarray or a scipy sparse matrix — both support
-    ``a @ x``.  A multi-RHS block (*b* of shape ``(n, k)``) counts as
-    *k* solves against one factorization.
+    The residual check runs only under tracing: ``system()`` then gives
+    the ``(a, b, x)`` to check, so an answer that never built its
+    right-hand side builds it only there.  *a* may be a dense ndarray or
+    a scipy sparse matrix — both support ``a @ x`` — and *b*, *x* may be
+    ``(n, k)`` blocks.
     """
     counter.inc(count)
-    _UNKNOWNS.observe(len(b))
+    _UNKNOWNS.observe(unknowns)
     if _TRACER.enabled:
-        _RESIDUAL.set(float(np.abs(a @ x - b).max()) if len(b) else 0.0)
+        a, b, x = system()
+        _RESIDUAL.set(float(np.abs(a @ x - b).max()) if unknowns else 0.0)
 
 
 @dataclass
@@ -321,7 +353,7 @@ def solve_ideal_wires(
                 "singular crossbar system (a floating line has no conductive "
                 "path to any driven line)"
             ) from exc
-        _note_solve(_SOLVES_IDEAL, a, b, x)
+        _note_solve(_SOLVES_IDEAL, n_unknown, 1, lambda: (a, b, x))
         for r in floating_rows:
             v_row[r] = x[row_pos[r]]
         for c in floating_cols:
@@ -358,10 +390,13 @@ class _Factorization:
     memoises ``A⁻¹u`` per junction cell (``columns``) for the derived
     entries built on it; a derived entry has ``g=None``, points at that
     real entry (``base``) and is never used as a base itself.  The real
-    entry also counts the columns the terminal-current verb answered
-    for its whole family (``served``).  ``transfer`` is the entry's
-    transfer matrix once its family has one; a derived entry computes
-    its own from its base's through ``retarget``.
+    entry also counts, for its whole family, the columns the
+    terminal-current verb answered (``served``) and the drive columns
+    the full-solution entry points answered (``answered``).
+    ``transfer`` and ``response`` are the entry's transfer matrix and
+    port response once its family has them; a derived entry moves its
+    base's through ``change``, the ``(pinned, update)`` pair that
+    :func:`_derive` computed (see :func:`_retarget`).
     """
 
     backend: str
@@ -378,8 +413,11 @@ class _Factorization:
     columns: Dict[int, np.ndarray] = field(default_factory=dict)
     base: Optional["_Factorization"] = None
     served: int = 0
+    answered: int = 0
     transfer: Optional[np.ndarray] = None
-    retarget: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    response: Optional[np.ndarray] = None
+    change: Optional[Tuple[Tuple[np.ndarray, ...],
+                           Optional[Tuple[np.ndarray, ...]]]] = None
 
 
 _CACHE_LOCK = threading.Lock()
@@ -677,7 +715,9 @@ def _base_columns(
     base: _Factorization, cells: np.ndarray, pi: np.ndarray, pj: np.ndarray
 ) -> np.ndarray:
     """``Z = A⁻¹U`` for *cells* from *base*'s memo; the missing columns
-    go through the factorization as one multi-RHS block."""
+    go through the factorization as one multi-RHS block.  The memo
+    keeps contiguous copies, so stacking them is one block copy rather
+    than a gather of strided column views."""
     with _CACHE_LOCK:
         memo = [base.columns.get(int(cell)) for cell in cells]
     missing = [k for k, column in enumerate(memo) if column is None]
@@ -686,12 +726,13 @@ def _base_columns(
             _u_columns(pi[missing], pj[missing], base.unknown.size))
         with _CACHE_LOCK:
             for n, k in enumerate(missing):
-                memo[k] = base.columns.setdefault(int(cells[k]), solved[:, n])
+                memo[k] = base.columns.setdefault(
+                    int(cells[k]), np.ascontiguousarray(solved[:, n]))
             if len(base.columns) > 2 * LOW_RANK_MAX:
                 # Bound the memo: keep only the columns this update uses.
                 base.columns.clear()
                 base.columns.update(zip(cells.tolist(), memo))
-    return np.column_stack(memo)
+    return np.array(memo).T
 
 
 def _derive(
@@ -715,7 +756,7 @@ def _derive(
         a[free] for a in (cells, d, pi, pj, qi, qj, lines))
     if not cells.size:
         return replace(base, g=None, columns={}, base=base, transfer=None,
-                       retarget=_retarget(base, pinned, None))
+                       response=None, change=(pinned, None))
     try:
         z = _base_columns(base, cells, pi, pj)
     except CrossbarError:
@@ -751,8 +792,7 @@ def _derive(
     return replace(
         base, a_red=_Stamped(base.a_red, (pi, pj), (pi, pj), d), a_up=a_up,
         solve=solve, g=None, columns={}, base=base, transfer=None,
-        retarget=_retarget(base, pinned,
-                           (lines, d, pi, pj, qi, qj, z, gain)),
+        response=None, change=(pinned, (lines, d, pi, pj, qi, qj, z, gain)),
     )
 
 
@@ -788,68 +828,117 @@ def _build_transfer(fact: _Factorization) -> np.ndarray:
     return transfer
 
 
-def _retarget(
-    base: _Factorization,
-    pinned: Tuple[np.ndarray, ...],
-    update: Optional[Tuple[np.ndarray, ...]],
-) -> Callable[[np.ndarray], np.ndarray]:
+def _port_update(
+    base: _Factorization, update: Tuple[np.ndarray, ...]
+) -> Tuple[np.ndarray, ...]:
+    """The Woodbury terms a derived entry's port maps share.
+
+    *update* holds ``(line, δ, pi, pj, qi, qj, Z, gain)`` of the changed
+    junctions that a reduced matrix sees, with ``gain = (I +
+    D·UᵀZ)⁻¹·D``.  The write moves ``A`` by ``U·D·Uᵀ`` and ``B = -a_up``
+    by ``-U·D·Qᵀ`` (``Q`` the junctions' pinned ports), so with ``ZᵀB =
+    UᵀR`` by symmetry the port response moves as ``R' = R - Z·M``,
+
+        M = D·Qᵀ + gain·(ZᵀB - UᵀZ·D·Qᵀ).
+
+    Returns ``(Qᵀ, ZᵀB, UᵀZ, M)``.
+    """
+    _, d, pi, pj, qi, qj, z, gain = update
+    q_t = np.zeros((d.size, base.pinned.size))
+    for ports, sign in ((qi, 1.0), (qj, -1.0)):
+        hit = np.flatnonzero(ports >= 0)
+        q_t[hit, ports[hit]] = sign
+    z_b = -(base.a_up.T @ z).T
+    u_z = _u_dot(z, pi, pj)
+    d_q = d[:, None] * q_t
+    return q_t, z_b, u_z, d_q + gain @ (z_b - u_z @ d_q)
+
+
+def _retarget(base: _Factorization, change: Tuple, transfer: np.ndarray
+              ) -> np.ndarray:
     """Map *base*'s transfer matrix to a derived entry's conductances.
 
-    *pinned* holds ``(line, δ, qi, qj)`` of the changed junctions with
-    both nodes pinned: they move only their column's current, by ``δ``
-    at their pinned driver columns.  *update* holds ``(line, δ, pi, pj,
-    qi, qj, Z, gain)`` of the others, with ``gain = (I + D·UᵀZ)⁻¹·D``;
-    Woodbury then gives, in O(nnz·k),
+    *change* is the entry's ``(pinned, update)``.  *pinned* holds
+    ``(line, δ, qi, qj)`` of the changed junctions with both nodes
+    pinned: they move only their column's current, by ``δ`` at their
+    pinned driver columns.  For the others (*update*, see
+    :func:`_port_update`) Woodbury gives, in O(nnz·k),
 
         T' = T + S·D·(ZᵀB + Qᵀ) - (L_u·Z + S·D·UᵀZ)·M,
-        M  = D·Qᵀ + gain·(ZᵀB - UᵀZ·D·Qᵀ),
 
-    with ``S`` mapping each junction to its column line, ``Q`` its
-    pinned ports, and ``UᵀX_u = ZᵀB`` by symmetry.
+    with ``S`` mapping each junction to its column line.
     """
-
-    def retarget(transfer: np.ndarray) -> np.ndarray:
-        transfer = transfer.copy()
-        line, d, qi, qj = pinned
-        for ports, sign in ((qi, 1.0), (qj, -1.0)):
-            np.add.at(transfer, (line, ports), sign * d)
-        if update is None:
-            return transfer
-        line, d, pi, pj, qi, qj, z, gain = update
-        k = d.size
-        q_t = np.zeros((k, transfer.shape[1]))
-        for ports, sign in ((qi, 1.0), (qj, -1.0)):
-            hit = np.flatnonzero(ports >= 0)
-            q_t[hit, ports[hit]] = sign
-        z_b = -(base.a_up.T @ z).T
-        u_z = _u_dot(z, pi, pj)
-        d_q = d[:, None] * q_t
-        m = d_q + gain @ (z_b - u_z @ d_q)
-        s_d = np.zeros((transfer.shape[0], k))
-        s_d[line, np.arange(k)] = d
-        x = np.zeros((base.n_nodes, k))
-        x[base.unknown] = z
-        l_z = (_line_coefficients(base)[:, None] * x).reshape(
-            -1, transfer.shape[0], k).sum(axis=0)
-        transfer += s_d @ (z_b + q_t) - (l_z + s_d @ u_z) @ m
+    pinned, update = change
+    transfer = transfer.copy()
+    line, d, qi, qj = pinned
+    for ports, sign in ((qi, 1.0), (qj, -1.0)):
+        np.add.at(transfer, (line, ports), sign * d)
+    if update is None:
         return transfer
+    line, d, _, _, _, _, z, _ = update
+    q_t, z_b, u_z, m = _port_update(base, update)
+    k = d.size
+    s_d = np.zeros((transfer.shape[0], k))
+    s_d[line, np.arange(k)] = d
+    x = np.zeros((base.n_nodes, k))
+    x[base.unknown] = z
+    l_z = (_line_coefficients(base)[:, None] * x).reshape(
+        -1, transfer.shape[0], k).sum(axis=0)
+    transfer += s_d @ (z_b + q_t) - (l_z + s_d @ u_z) @ m
+    return transfer
 
-    return retarget
+
+def _respond(base: _Factorization, change: Tuple, response: np.ndarray
+             ) -> np.ndarray:
+    """Map *base*'s port response to a derived entry's conductances,
+    ``R' = R - Z·M`` (see :func:`_port_update`).  Junctions with both
+    nodes pinned move no unknown node, so they leave ``R`` as it is."""
+    update = change[1]
+    if update is None:
+        return response
+    moved = response.copy()
+    moved[base.unknown] -= update[6] @ _port_update(base, update)[3]
+    return moved
+
+
+def _family_matrix(fact: _Factorization, name: str, move: Callable,
+                   counter) -> Optional[np.ndarray]:
+    """*fact*'s ``transfer`` or ``response`` (*name*) if its family has
+    one, else None.  A derived entry moves its base's through *move* on
+    first use, keeps the result and counts it on *counter*."""
+    own = getattr(fact, name)
+    if own is not None or fact.base is None:
+        return own
+    base = getattr(fact.base, name)
+    if base is None:
+        return None
+    moved = move(fact.base, fact.change, base)
+    with _CACHE_LOCK:
+        if getattr(fact, name) is None:
+            setattr(fact, name, moved)
+            counter.inc()
+        return getattr(fact, name)
 
 
 def _transfer(fact: _Factorization) -> Optional[np.ndarray]:
-    """*fact*'s transfer matrix if its family has one, else None.  A
-    derived entry moves its base's on first use and keeps the result."""
-    if fact.transfer is not None or fact.base is None:
-        return fact.transfer
-    if fact.base.transfer is None or fact.retarget is None:
-        return None
-    transfer = fact.retarget(fact.base.transfer)
+    """*fact*'s transfer matrix if its family has one, else None."""
+    return _family_matrix(fact, "transfer", _retarget, _TRANSFER_UPDATE)
+
+
+def _response(fact: _Factorization) -> Optional[np.ndarray]:
+    """*fact*'s port response if its family has one, else None."""
+    return _family_matrix(fact, "response", _respond, _RESPONSE_UPDATE)
+
+
+def _publish(root: _Factorization, name: str, build: Callable, counter
+             ) -> None:
+    """Build real entry *root*'s ``transfer`` or ``response`` (*name*)
+    outside the lock and publish it once, counting it on *counter*."""
+    built = build(root)
     with _CACHE_LOCK:
-        if fact.transfer is None:
-            fact.transfer = transfer
-            _TRANSFER_UPDATE.inc()
-        return fact.transfer
+        if getattr(root, name) is None:
+            setattr(root, name, built)
+            counter.inc()
 
 
 def _note_served(fact: _Factorization, count: int) -> None:
@@ -861,13 +950,39 @@ def _note_served(fact: _Factorization, count: int) -> None:
     with _CACHE_LOCK:
         root.served += count
         due = root.transfer is None and root.served >= root.g.shape[1]
-    if not due:
-        return
-    transfer = _build_transfer(root)
+    if due:
+        _publish(root, "transfer", _build_transfer, _TRANSFER_BUILD)
+
+
+def _build_response(fact: _Factorization) -> np.ndarray:
+    """Real entry *fact*'s port response: ``R = A⁻¹·B`` with ``B =
+    -a_up``, one column per pinned driver from one multi-RHS solve, held
+    over every node with the identity at the pinned rows, so that
+    ``R·V`` is a drive block's whole node-voltage block."""
+    drivers = fact.pinned.size
+    response = np.zeros((fact.n_nodes, drivers))
+    response[fact.pinned, np.arange(drivers)] = 1.0
+    response[fact.unknown] = fact.solve(-(fact.a_up @ np.eye(drivers)))
+    return response
+
+
+def _note_answering(fact: _Factorization, count: int) -> None:
+    """Count *count* drive columns a full-solution entry point is about
+    to answer from *fact*.  A family that has already answered as many
+    as it has pinned drivers (the build's break-even: one solve per
+    driver) first builds its port response on its real entry, so a
+    one-off call never builds one, however many columns it answers.
+    Only few-driver structures get one (pinned drivers, at most
+    :data:`_TRANSFER_BLOCK` of them), so ``R`` never outgrows one
+    adjoint block."""
+    root = fact if fact.base is None else fact.base
+    drivers = root.pinned.size  # 0 when the drivers are resistive
     with _CACHE_LOCK:
-        if root.transfer is None:
-            root.transfer = transfer
-            _TRANSFER_BUILD.inc()
+        due = (root.response is None and 0 < drivers <= _TRANSFER_BLOCK
+               and root.answered >= drivers)
+        root.answered += count
+    if due:
+        _publish(root, "response", _build_response, _RESPONSE_BUILD)
 
 
 def _get_factorization(
@@ -940,10 +1055,12 @@ def _validate_wire_problem(
     if (g < 0).any():
         raise CrossbarError("conductances must be non-negative")
     rows, cols = g.shape
-    if wire_resistance <= 0:
-        raise CrossbarError(f"wire_resistance must be positive, got {wire_resistance}")
-    if driver_resistance < 0:
-        raise CrossbarError("driver_resistance cannot be negative")
+    if not (math.isfinite(wire_resistance) and wire_resistance > 0):
+        raise CrossbarError(
+            f"wire_resistance must be finite and positive, got {wire_resistance!r}")
+    if not (math.isfinite(driver_resistance) and driver_resistance >= 0):
+        raise CrossbarError("driver_resistance must be finite and "
+                            f"non-negative, got {driver_resistance!r}")
     backend = _resolve_backend(backend)
     n = 2 * rows * cols
     if backend == "dense" and n >= DENSE_NODE_LIMIT:
@@ -953,6 +1070,17 @@ def _validate_wire_problem(
             "install scipy (the repro[fast] extra) for the sparse backend"
         )
     return g, backend
+
+
+def _rhs(fact: _Factorization, drive_volts: np.ndarray) -> np.ndarray:
+    """Reduced right-hand side for a ``(n_drivers, k)`` drive block."""
+    if fact.g_drv is None:
+        # Pinned drivers: the un-pinned KCL rows see the drivers through
+        # the boundary coupling block.
+        return -(fact.a_up @ drive_volts)
+    b_red = np.zeros((fact.n_nodes, drive_volts.shape[1]))
+    b_red[fact.driver_nodes] = fact.g_drv * drive_volts
+    return b_red
 
 
 def _solve_node_voltages(
@@ -968,32 +1096,35 @@ def _solve_node_voltages(
     right-hand-side columns such as rank-1 ``u`` vectors — rides in the
     same block.  Returns the ``(n, k)`` node voltages and the solved
     *extra* columns (``(n_unknown, 0)`` without them).
+
+    Once *fact*'s family has a port response ``R`` (looked up once, at
+    call start) the node voltages are ``R·V`` instead, and only *extra*
+    goes through the factorization.
     """
     k = drive_volts.shape[1]
-    n = fact.n_nodes
-    if fact.g_drv is None:
-        # Pinned drivers: solve the un-pinned KCL rows against the
-        # boundary coupling block.
-        if fact.unknown.size:
-            b_red = -(fact.a_up @ drive_volts)
+    response = _response(fact)
+    if response is not None:
+        x = response @ drive_volts
+        z = (np.empty((fact.unknown.size, 0)) if extra is None
+             else fact.solve(extra))
+        finite = np.isfinite(x).all() and np.isfinite(z).all()
+    else:
+        b_red = _rhs(fact, drive_volts)
+        block = b_red if extra is None else np.hstack([b_red, extra])
+        solved = fact.solve(block) if fact.unknown.size else block
+        z = solved[:, k:]
+        if fact.g_drv is None:
+            x = np.empty((fact.n_nodes, k))
+            x[fact.pinned] = drive_volts
+            x[fact.unknown] = solved[:, :k]
         else:
-            b_red = np.empty((0, k))
-    else:
-        b_red = np.zeros((n, k))
-        b_red[fact.driver_nodes] = fact.g_drv * drive_volts
-    block = b_red if extra is None else np.hstack([b_red, extra])
-    solved = fact.solve(block) if fact.unknown.size else block
-    x_u = solved[:, :k]
-    if fact.g_drv is None:
-        x = np.empty((n, k))
-        x[fact.pinned] = drive_volts
-        x[fact.unknown] = x_u
-    else:
-        x = x_u
-    if not np.isfinite(solved).all():
+            x = solved[:, :k]
+        finite = np.isfinite(solved).all()
+    if not finite:
         raise CrossbarError("singular crossbar system")
-    _note_solve(_SOLVES_WIRE, fact.a_red, b_red, x_u, count=k)
-    return x, solved[:, k:]
+    _note_solve(_SOLVES_WIRE, fact.unknown.size, k, lambda: (
+        fact.a_red, _rhs(fact, drive_volts), x[fact.unknown]))
+    return x, z
 
 
 def _transfer_currents(transfer: np.ndarray, drive_volts: np.ndarray) -> np.ndarray:
@@ -1078,6 +1209,7 @@ def solve_with_wire_resistance(
     drive_volts = np.array(
         [row_drive[r] for r in row_idx] + [col_drive[c] for c in col_idx]
     )[:, None]
+    _note_answering(fact, 1)
     x, _ = _solve_node_voltages(fact, drive_volts)
     return _wire_solution(g, x[:, 0], None if transfer is None
                           else _transfer_currents(transfer, drive_volts)[:, 0])
@@ -1138,6 +1270,7 @@ def solve_many_with_wire_resistance(
                 [row_drive[r] for r in row_idx]
                 + [col_drive[c] for c in col_idx]
             )
+        _note_answering(fact, len(members))
         x, _ = _solve_node_voltages(fact, drive_volts)
         currents = (None if transfer is None
                     else _transfer_currents(transfer, drive_volts))
@@ -1234,6 +1367,8 @@ def solve_junction_variants(
     cells = np.empty(len(variants), dtype=np.intp)
     deltas = np.empty(len(variants))
     for k, (row, col, g_new) in enumerate(variants):
+        _check_index(row, "variant row")
+        _check_index(col, "variant col")
         if not (0 <= row < rows and 0 <= col < cols):
             raise CrossbarError(
                 f"variant junction ({row}, {col}) outside {rows}x{cols}"
@@ -1262,6 +1397,7 @@ def solve_junction_variants(
     # The base right-hand side and every active variant's u column go
     # through the factorization as one multi-RHS block.
     transfer = _transfer(fact)
+    _note_answering(fact, 1)
     x, z = _solve_node_voltages(
         fact, drive_volts[:, None],
         _u_columns(pi, pj, fact.unknown.size) if active.size else None)
@@ -1309,8 +1445,19 @@ def solve_junction_variants(
     return base, results
 
 
+def _check_index(index, kind: str) -> None:
+    """Refuse a line index that is not an integer (a Python int or a
+    NumPy integer): a fractional one would land on a wrong node."""
+    try:
+        operator.index(index)
+    except TypeError:
+        raise CrossbarError(
+            f"{kind} index {index!r} must be an integer") from None
+
+
 def _check_drive(drive: LineDrive, count: int, kind: str) -> None:
     for index, volts in drive.items():
+        _check_index(index, kind)
         if not 0 <= index < count:
             raise CrossbarError(f"{kind} index {index} outside 0..{count - 1}")
         if not math.isfinite(volts):

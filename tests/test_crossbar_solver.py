@@ -1,6 +1,7 @@
 """Tests for the crossbar electrical solvers against hand-computable
 circuits."""
 
+import re
 import sys
 import threading
 import warnings
@@ -24,6 +25,8 @@ from repro.crossbar.solver import (
     _CACHE_MISS,
     _CACHE_UPDATE,
     _FACTOR_CACHE,
+    _RESPONSE_BUILD,
+    _RESPONSE_UPDATE,
     _SOLVES_WIRE,
     _TRANSFER_BUILD,
     _TRANSFER_UPDATE,
@@ -148,6 +151,83 @@ class TestValidation:
         volts[1, 2] = bad
         with pytest.raises(CrossbarError, match="pattern 1: row 2 drive"):
             column_currents_with_wire_resistance(g, volts)
+
+    @pytest.mark.parametrize("bad", [0.5, 1.7, np.float64(2.0)])
+    def test_rejects_fractional_line_index(self, bad):
+        """A non-integer index is refused by name: `int(0.5 * cols)`
+        would otherwise drive row 0 at its column-2 node."""
+        g = np.full((4, 4), 1e-4)
+        match = re.escape(f"index {bad!r} must be an integer")
+        for solve in (solve_ideal_wires, solve_with_wire_resistance):
+            with pytest.raises(CrossbarError, match=f"row {match}"):
+                solve(g, {bad: 1.0}, {0: 0.0})
+            with pytest.raises(CrossbarError, match=f"col {match}"):
+                solve(g, {0: 1.0}, {bad: 0.0})
+        with pytest.raises(CrossbarError, match=f"pattern 1: row {match}"):
+            solve_many_with_wire_resistance(
+                g, [({0: 1.0}, {0: 0.0}), ({bad: 1.0}, {0: 0.0})])
+        with pytest.raises(CrossbarError, match=f"row {match}"):
+            solve_junction_variants(g, {bad: 1.0}, {0: 0.0}, [(1, 1, 1e-5)])
+        with pytest.raises(CrossbarError, match=f"variant row {match}"):
+            solve_junction_variants(g, {0: 1.0}, {0: 0.0}, [(bad, 0, 1e-5)])
+        with pytest.raises(CrossbarError, match=f"variant col {match}"):
+            solve_junction_variants(g, {0: 1.0}, {0: 0.0}, [(0, bad, 1e-5)])
+
+    def test_numpy_integer_indices_are_accepted(self):
+        g = np.full((4, 4), 1e-4)
+        clear_factorization_cache()
+        want = solve_with_wire_resistance(g, {1: 1.0}, {2: 0.0})
+        got = solve_with_wire_resistance(g, {np.int64(1): 1.0},
+                                         {np.intp(2): 0.0})
+        assert np.array_equal(got.junction_currents, want.junction_currents)
+        _, (variant,) = solve_junction_variants(
+            g, {1: 1.0}, {2: 0.0}, [(np.int32(3), np.int64(0), 1e-5)])
+        g[3, 0] = 1e-5
+        full = solve_with_wire_resistance(g, {1: 1.0}, {2: 0.0})
+        np.testing.assert_allclose(variant.junction_currents,
+                                   full.junction_currents, rtol=1e-9,
+                                   atol=1e-15)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("wire_resistance", np.nan), ("wire_resistance", np.inf),
+        ("driver_resistance", np.nan), ("driver_resistance", np.inf)])
+    def test_rejects_non_finite_resistance(self, name, bad):
+        """Refused by name, not solved as ideal drivers (NaN driver),
+        returned as zero currents (infinite driver) or reported as a
+        singular system (non-finite wire)."""
+        g = np.full((3, 3), 1e-4)
+        options = {name: bad}
+        match = f"{name} must be finite"
+        calls = [
+            lambda: solve_with_wire_resistance(g, {0: 1.0}, {0: 0.0},
+                                               **options),
+            lambda: solve_many_with_wire_resistance(
+                g, [({0: 1.0}, {0: 0.0})], **options),
+            lambda: solve_junction_variants(
+                g, {0: 1.0}, {0: 0.0}, [(1, 1, 1e-5)], **options),
+        ]
+        if name == "wire_resistance":
+            calls.append(lambda: column_currents_with_wire_resistance(
+                g, np.full((1, 3), 0.1), wire_resistance=bad))
+        misses = _CACHE_MISS.value
+        for call in calls:
+            with pytest.raises(CrossbarError, match=match):
+                call()
+        board = IdealSimBoard(3, 3)
+        board.program(g)
+        stats = board.stats.as_dict()
+        with pytest.raises(CrossbarError, match=match):
+            board.read_iv_variants({0: 1.0}, {0: 0.0}, [(1, 1, 1e-5)],
+                                   **options)
+        if name == "wire_resistance":
+            with pytest.raises(CrossbarError, match=match):
+                board.read_iv({0: 1.0}, {0: 0.0}, wire_resistance=bad)
+        else:
+            with pytest.raises(CrossbarError, match=match):
+                board.read_iv({0: 1.0}, {0: 0.0}, wire_resistance=1.0,
+                              driver_resistance=bad)
+        assert board.stats.as_dict() == stats
+        assert _CACHE_MISS.value == misses
 
 
 class TestWireResistance:
@@ -786,3 +866,217 @@ class TestTransferMatrix:
         assert _TRANSFER_BUILD.value == builds + 1
         (base,) = [f for f in _FACTOR_CACHE.values() if f.g is not None]
         assert base.served == 3 + 6 * 2 * len(writes) * 3
+
+
+class TestPortResponse:
+    """Few-driver full solves from a family's port response ``R``: a
+    cold answer keeps the factorization's bits, the build waits for as
+    many answered drive columns as there are drivers, every entry point
+    answers one entry's state with the same bits, and writes move ``R``
+    instead of rebuilding it."""
+
+    def setup_method(self):
+        clear_factorization_cache()
+
+    @staticmethod
+    def _array(rows=6, cols=5, seed=5):
+        rng = np.random.default_rng(seed)
+        return np.where(rng.random((rows, cols)) < 0.5, 1e-4, 1e-6)
+
+    @staticmethod
+    def _assert_close(got, want):
+        for name in ("row_voltages", "col_voltages", "junction_currents",
+                     "row_currents", "col_currents"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max(), name
+
+    def test_cold_answer_is_the_factorization_and_second_builds(self):
+        g = self._array()
+        rows, cols = g.shape
+        drive = ({0: 0.3}, {cols - 1: 0.0})
+        builds = _RESPONSE_BUILD.value
+        # Two drive columns against two drivers: the break-even, but a
+        # one-off call builds nothing and answers from the solve.
+        cold, _ = solve_many_with_wire_resistance(
+            g, [drive, ({0: -0.1}, {cols - 1: 0.0})], wire_resistance=2.0)
+        (entry,) = _FACTOR_CACHE.values()
+        assert entry.response is None and _RESPONSE_BUILD.value == builds
+        volts = np.array([[0.3, -0.1], [0.0, 0.0]])
+        x = np.empty(entry.n_nodes)
+        x[entry.pinned] = volts[:, 0]
+        x[entry.unknown] = entry.solve(-(entry.a_up @ volts))[:, 0]
+        assert np.array_equal(cold.row_voltages.ravel(), x[:rows * cols])
+        assert np.array_equal(cold.col_voltages.ravel(), x[rows * cols:])
+        # The second call builds R first and answers from it: one
+        # matrix product, still counted as a solve.
+        solves = _SOLVES_WIRE.value
+        warm = solve_with_wire_resistance(g, *drive, wire_resistance=2.0)
+        assert _RESPONSE_BUILD.value == builds + 1
+        assert entry.response is not None
+        assert _SOLVES_WIRE.value == solves + 1
+        self._assert_close(warm, cold)
+        again = solve_with_wire_resistance(g, *drive, wire_resistance=2.0)
+        assert np.array_equal(again.junction_currents, warm.junction_currents)
+        assert _RESPONSE_BUILD.value == builds + 1
+
+    def test_board_and_solvers_agree_once_built(self):
+        g = self._array()
+        board = IdealSimBoard(*g.shape)
+        board.program(g)
+        drive, variants = ({0: 0.3}, {0: 0.0}), [(0, 0, 1e-6), (2, 3, 1e-4)]
+        builds = _RESPONSE_BUILD.value
+        for _ in range(3):
+            board.read_iv_variants(*drive, variants, wire_resistance=2.0)
+        assert _RESPONSE_BUILD.value == builds + 1
+        for _ in range(2):
+            base, got = board.read_iv_variants(*drive, variants,
+                                               wire_resistance=2.0)
+            want_base, want = solve_junction_variants(
+                g, *drive, variants, wire_resistance=2.0)
+            single = solve_with_wire_resistance(g, *drive,
+                                                wire_resistance=2.0)
+            for solution in (want_base, single):
+                assert np.array_equal(base.row_currents,
+                                      solution.row_currents)
+                assert np.array_equal(base.junction_currents,
+                                      solution.junction_currents)
+            for a, b in zip(got, want):
+                assert np.array_equal(a.junction_currents,
+                                      b.junction_currents)
+
+    def test_all_driven_junction_sums_agree_once_built(self):
+        """Up to 4x4 the all-driven structure has at most 8 drivers: the
+        column verb's junction-sum path reads ``R`` too."""
+        g = self._array(3, 3)
+        board = IdealSimBoard(3, 3)
+        board.program(g)
+        rng = np.random.default_rng(8)
+        grounded = {c: 0.0 for c in range(3)}
+        drives = [({r: float(v) for r, v in enumerate(row)}, grounded)
+                  for row in rng.uniform(-0.2, 0.2, (6, 3))]
+        builds = _RESPONSE_BUILD.value
+        solve_many_with_wire_resistance(g, drives, wire_resistance=2.0)
+        want = solve_many_with_wire_resistance(g, drives[:2],
+                                               wire_resistance=2.0)
+        assert _RESPONSE_BUILD.value == builds + 1
+        volts = np.array([[d[0][r] for r in range(3)] for d in drives[:2]])
+        got = board.column_currents_many(volts, wire_resistance=2.0)
+        assert all(entry.transfer is None for entry in _FACTOR_CACHE.values())
+        assert np.array_equal(got, np.stack([s.col_currents for s in want]))
+
+    def test_many_drivers_and_one_off_reads_build_nothing(self):
+        g = self._array()
+        rows, cols = g.shape
+        builds = _RESPONSE_BUILD.value
+        # 5 + 4 = 9 drivers: more than one adjoint block, never built.
+        many = ({r: 0.1 * r for r in range(5)}, {c: 0.0 for c in range(4)})
+        for _ in range(3):
+            solve_many_with_wire_resistance(g, [many] * 10,
+                                            wire_resistance=2.0)
+        # One call per two-driver structure and entry point, however
+        # many columns it answers.
+        solve_with_wire_resistance(g, {0: 0.3}, {0: 0.0},
+                                   wire_resistance=2.0)
+        solve_junction_variants(g, {1: 0.3}, {1: 0.0}, [(1, 1, 1e-6)],
+                                wire_resistance=2.0)
+        solve_many_with_wire_resistance(g, [({2: 0.3}, {2: 0.0})] * 5,
+                                        wire_resistance=2.0)
+        # The terminal-current verb never counts toward R.
+        for _ in range(3):
+            column_currents_with_wire_resistance(
+                g, np.full((cols, rows), 0.1), wire_resistance=2.0)
+        assert _RESPONSE_BUILD.value == builds
+        assert all(entry.response is None
+                   for entry in _FACTOR_CACHE.values())
+
+    def test_written_family_updates_instead_of_rebuilding(self):
+        g = self._array()
+        rows, cols = g.shape
+        drive = ({0: 0.3}, {cols - 1: 0.0})
+        for _ in range(3):
+            solve_with_wire_resistance(g, *drive, wire_resistance=2.0)
+        builds, updates = _RESPONSE_BUILD.value, _RESPONSE_UPDATE.value
+        # Row-side pinned, column-side pinned, then a free junction.
+        for cell in ((0, 0), (0, cols - 1), (3, 2)):
+            g = g.copy()
+            g[cell] = 1e-4 if g[cell] < 1e-5 else 1e-6
+            got = solve_with_wire_resistance(g, *drive, wire_resistance=2.0)
+            saved = list(_FACTOR_CACHE.items())
+            clear_factorization_cache()
+            cold = solve_with_wire_resistance(g, *drive, wire_resistance=2.0)
+            clear_factorization_cache()
+            _FACTOR_CACHE.update(saved)
+            self._assert_close(got, cold)
+        assert _RESPONSE_BUILD.value == builds
+        assert _RESPONSE_UPDATE.value == updates + 3
+
+    def test_both_pinned_write_keeps_the_response(self):
+        """Cell (0, 0) under ``{0}``/``{0}`` has both nodes pinned: no
+        unknown node moves, so the derived entry shares the base's R."""
+        g = self._array()
+        for _ in range(3):
+            solve_with_wire_resistance(g, {0: 0.3}, {0: 0.0},
+                                       wire_resistance=2.0)
+        (base,) = _FACTOR_CACHE.values()
+        assert base.response is not None
+        written = g.copy()
+        written[0, 0] = 1e-4 if g[0, 0] < 1e-5 else 1e-6
+        got = solve_with_wire_resistance(written, {0: 0.3}, {0: 0.0},
+                                         wire_resistance=2.0)
+        derived = [f for f in _FACTOR_CACHE.values() if f.base is base]
+        assert len(derived) == 1 and derived[0].response is base.response
+        clear_factorization_cache()
+        cold = solve_with_wire_resistance(written, {0: 0.3}, {0: 0.0},
+                                          wire_resistance=2.0)
+        self._assert_close(got, cold)
+
+    def test_concurrent_reads_share_one_build(self):
+        """Threads reading written arrays of one few-driver family at
+        once all get the cold answer, and R is built once."""
+        rng = np.random.default_rng(17)
+        g = np.where(rng.random((8, 8)) < 0.5, 1e-4, 1e-6)
+        drive = ({0: 0.3}, {7: 0.0})
+        writes = []
+        for _ in range(10):
+            written = g.copy()
+            cells = rng.choice(g.size, int(rng.integers(1, 4)), replace=False)
+            written.ravel()[cells] = rng.uniform(1e-6, 1e-4, cells.size)
+            writes.append(written)
+        expected = []
+        for written in writes:
+            clear_factorization_cache()
+            expected.append(solve_with_wire_resistance(written, *drive))
+        clear_factorization_cache()
+        solve_with_wire_resistance(g, *drive)  # the shared base
+        builds, misses = _RESPONSE_BUILD.value, _CACHE_MISS.value
+        errors = []
+
+        def worker(offset):
+            try:
+                for k in range(2 * len(writes)):
+                    i = (k + offset) % len(writes)
+                    got = solve_with_wire_resistance(writes[i], *drive)
+                    want = expected[i].junction_currents
+                    error = np.abs(got.junction_currents - want).max()
+                    if error > 1e-10 * np.abs(want).max():
+                        errors.append((i, error))
+            except Exception as exc:  # surfaced by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,))
+                       for k in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert _CACHE_MISS.value == misses
+        assert _RESPONSE_BUILD.value == builds + 1
+        (base,) = [f for f in _FACTOR_CACHE.values() if f.g is not None]
+        assert base.answered == 1 + 6 * 2 * len(writes)

@@ -265,8 +265,9 @@ class SingleCellWrites(RuleBasedStateMachine):
     cell to its base value), set arbitrary conductances, hit cells whose
     junction touches a pinned driver node, and burst past
     LOW_RANK_MAX changed cells.  Reads batch two drive structures
-    (all lines driven, and one row/one column with the rest floating)
-    and ask for rank-1 variants at a pinned and a free junction.
+    (all lines driven, and one row/one column with the rest floating),
+    ask for rank-1 variants at a pinned and a free junction, and read
+    the few-driver structure back to back past its port-response build.
 
     Wire resistance starts at 0.25 ohm: at 0.1 ohm against 1e-6 S
     junctions the cold oracle's own rounding (about cond(A)·eps, ~3e-10
@@ -364,6 +365,20 @@ class SingleCellWrites(RuleBasedStateMachine):
                 want = _cold(lambda: solve_with_wire_resistance(
                     g_var, rd, cd, **self.options))
                 _assert_agrees(solution, want, g_var, f"variant ({r}, {c})")
+
+    @rule(count=st.integers(min_value=3, max_value=5))
+    def read_few_drivers(self, count):
+        """Back-to-back full reads of the one-row/one-column structure:
+        its family builds a port response once it has answered two
+        drive columns, so later reads — here or after later writes —
+        come from R, built or moved, instead of a solve."""
+        g = self.g.copy()
+        for k in range(count):
+            rd, cd = self.structures[1][k % 2]
+            got = solve_with_wire_resistance(g, rd, cd, **self.options)
+            want = _cold(lambda: solve_with_wire_resistance(
+                g, rd, cd, **self.options))
+            _assert_agrees(got, want, g, f"few-driver read {k}")
 
     @rule(count=st.integers(min_value=1, max_value=8))
     def read_columns(self, count):
