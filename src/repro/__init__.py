@@ -37,7 +37,9 @@ Quick start::
     print(render_table2(api.table2()))
 """
 
-from . import analog, analysis, api, apps, cmosarch, compiler, core, crossbar, devices, engine, interconnect, logic, obs, reliability, serve, sim, spec, units
+import importlib
+from typing import Any, List
+
 from .errors import (
     ArchitectureError,
     CrossbarError,
@@ -57,7 +59,10 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-__all__ = [
+#: Subpackages (and the ``api``/``units`` modules) imported on first
+#: attribute access, so ``import repro.serve`` loads only what serving
+#: reaches.
+_SUBMODULES = (
     "devices",
     "analog",
     "api",
@@ -76,6 +81,10 @@ __all__ = [
     "analysis",
     "obs",
     "units",
+)
+
+__all__ = [
+    *_SUBMODULES,
     "ReproError",
     "DeviceError",
     "CrossbarError",
@@ -92,3 +101,13 @@ __all__ = [
     "TransientExecutorError",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_SUBMODULES))

@@ -33,16 +33,20 @@ technology runs through the same code as the paper's Table 1.
 from __future__ import annotations
 
 import sys
-from typing import IO, Any, Dict, Mapping, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, IO, Any, Dict, Mapping, Optional, Sequence,
+                    Union)
 
 import numpy as np
 
-from .core.evaluate import Table2Result
-from .core.evaluate import table2 as _table2
-from .crossbar.solver import CrossbarSolution
-from .engine import BatchResult
 from .errors import ReproError
 from .spec import TABLE1, TechSpec
+
+# Result types appear only in annotations; each function imports what its
+# body reaches, so importing the facade stays cheap.
+if TYPE_CHECKING:
+    from .core.evaluate import Table2Result
+    from .crossbar.solver import CrossbarSolution
+    from .engine import BatchResult
 
 __all__ = [
     "connect",
@@ -83,6 +87,8 @@ def table2(
     bit-for-bit; ``spec``/``overrides`` re-run the whole table under a
     derived technology.
     """
+    from .core.evaluate import table2 as _table2
+
     return _table2(dna_packing=dna_packing,
                    spec=_resolve_spec(spec, overrides))
 

@@ -133,13 +133,15 @@ class IdealSimBoard(Board):
         backend: str = "auto",
     ) -> np.ndarray:
         v = self._check_voltages(voltages, batched=False)
-        self._charge_read(float((v ** 2) @ self._g_row_sums), words=1)
+        # Solve before billing, as read_iv does: a refused read costs nothing.
         if wire_resistance is None:
-            return v @ self._g
-        currents: np.ndarray = column_currents_with_wire_resistance(
-            self._g, v[None, :], wire_resistance=wire_resistance,
-            backend=backend,
-        )[0]
+            currents: np.ndarray = v @ self._g
+        else:
+            currents = column_currents_with_wire_resistance(
+                self._g, v[None, :], wire_resistance=wire_resistance,
+                backend=backend,
+            )[0]
+        self._charge_read(float((v ** 2) @ self._g_row_sums), words=1)
         return currents
 
     def column_currents_many(
@@ -150,12 +152,14 @@ class IdealSimBoard(Board):
         backend: str = "auto",
     ) -> np.ndarray:
         v = self._check_voltages(voltages, batched=True)
+        if wire_resistance is None:
+            currents: np.ndarray = v @ self._g
+        else:
+            currents = column_currents_with_wire_resistance(
+                self._g, v, wire_resistance=wire_resistance, backend=backend)
         power = float(((v ** 2) @ self._g_row_sums).sum())
         self._charge_read(power, reads=v.shape[0], words=v.shape[0])
-        if wire_resistance is None:
-            return v @ self._g
-        return column_currents_with_wire_resistance(
-            self._g, v, wire_resistance=wire_resistance, backend=backend)
+        return currents
 
     # -- lifecycle ---------------------------------------------------------
 

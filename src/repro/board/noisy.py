@@ -28,18 +28,24 @@ the board digest identifies a seeded configuration exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from ..devices.base import IdealBipolarMemristor
 from ..devices.variability import VariabilityModel, VariationSpec
 from ..errors import BoardError
-from ..logic.sequencer import ImplyMachine
-from ..reliability.faults import FaultType
 from ..spec.techspec import TechSpec
 from .base import Board, LineDrive
 from .ideal import IdealSimBoard
+
+# Imported where used: repro.logic and repro.reliability sit above
+# crossbar.memory, which sits above the board — a module-level import
+# would cycle.
+if TYPE_CHECKING:
+    from ..logic.sequencer import ImplyMachine
+    from ..reliability.faults import FaultType
 
 __all__ = ["InstrumentProfile", "NoisyInstrumentBoard"]
 
@@ -177,6 +183,8 @@ class NoisyInstrumentBoard(Board):
 
     def _manufacture_faults(self) -> None:
         """Sample per-cell manufacturing defects from the board rng."""
+        from ..reliability.faults import FaultType
+
         draw = self._rng.random((self.rows, self.cols))
         kinds = list(FaultType)
         for row, col in zip(*np.nonzero(draw < self.profile.fault_rate)):
@@ -184,6 +192,8 @@ class NoisyInstrumentBoard(Board):
             self._set_fault(int(row), int(col), kind)
 
     def _set_fault(self, row: int, col: int, kind: FaultType) -> None:
+        from ..reliability.faults import FaultType
+
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise BoardError(
                 f"cell ({row}, {col}) outside the {self.rows}x{self.cols} board"
@@ -223,6 +233,8 @@ class NoisyInstrumentBoard(Board):
             raise BoardError(
                 f"count must be in 0..{total - len(self.faults)}, got {count}"
             )
+        from ..reliability.faults import FaultType
+
         kinds = list(FaultType)
         injected: List[Tuple[int, int]] = []
         while len(injected) < count:
@@ -396,6 +408,8 @@ class NoisyInstrumentBoard(Board):
         """
         if self.profile.variability == 0 and self.profile.threshold_sigma == 0:
             return super().imply_machine()
+        from ..logic.sequencer import ImplyMachine
+
         model = VariabilityModel(
             nominal=IdealBipolarMemristor(),
             spec=VariationSpec(

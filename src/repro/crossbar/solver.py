@@ -20,8 +20,9 @@ backends:
 
 * ``sparse`` — :func:`scipy.sparse.linalg.splu` on the CSC form of the
   2·R·C-node conductance matrix.  SciPy is the optional ``repro[fast]``
-  extra; when it is importable this backend is the default and there is
-  no array-size cap (256x256 and beyond are routine).
+  extra, imported on the first factorization that needs it; when it is
+  importable this backend is the default and there is no array-size cap
+  (256x256 and beyond are routine).
 * ``dense`` — a pure-NumPy :func:`numpy.linalg.solve` fallback, capped
   at :data:`DENSE_NODE_LIMIT` nodes so an accidental large solve cannot
   allocate a multi-gigabyte matrix.
@@ -152,13 +153,6 @@ from ..errors import CrossbarError
 from ..obs.registry import get_registry
 from ..obs.tracing import get_tracer
 
-try:  # SciPy is optional: the `repro[fast]` extra.
-    from scipy.sparse import coo_matrix as _coo_matrix
-    from scipy.sparse.linalg import splu as _splu
-    _HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised via backend="dense"
-    _HAVE_SCIPY = False
-
 #: Voltage assignment for driven lines: index -> volts.  Lines absent
 #: from the mapping float.
 LineDrive = Dict[int, float]
@@ -221,9 +215,21 @@ _RESPONSE_BUILD = _RESPONSE.labels(result="build")
 _RESPONSE_UPDATE = _RESPONSE.labels(result="update")
 
 
+@lru_cache(maxsize=None)
+def _scipy_sparse() -> Optional[Tuple[Callable, Callable]]:
+    """SciPy's ``(coo_matrix, splu)``, imported on first use, or ``None``
+    without SciPy (the optional ``repro[fast]`` extra)."""
+    try:
+        from scipy.sparse import coo_matrix
+        from scipy.sparse.linalg import splu
+    except ImportError:  # pragma: no cover - exercised via backend="dense"
+        return None
+    return coo_matrix, splu
+
+
 def scipy_available() -> bool:
     """Whether the sparse (SciPy) backend can be used in this process."""
-    return _HAVE_SCIPY
+    return _scipy_sparse() is not None
 
 
 def _note_solve(counter, unknowns: int, count: int,
@@ -442,8 +448,8 @@ def _resolve_backend(backend: str) -> str:
             f"unknown solver backend {backend!r}; choose one of {_BACKENDS}"
         )
     if backend == "auto":
-        return "sparse" if _HAVE_SCIPY else "dense"
-    if backend == "sparse" and not _HAVE_SCIPY:
+        return "sparse" if scipy_available() else "dense"
+    if backend == "sparse" and not scipy_available():
         raise CrossbarError(
             "the sparse backend needs scipy — install the repro[fast] extra"
         )
@@ -496,7 +502,8 @@ def _assemble_full(
         vv = np.concatenate([vv, np.full(driver_nodes.size, g_drv)])
 
     if backend == "sparse":
-        return _coo_matrix((vv, (ri, ci)), shape=(n, n)).tocsr()
+        coo_matrix, _ = _scipy_sparse()
+        return coo_matrix((vv, (ri, ci)), shape=(n, n)).tocsr()
     a = np.zeros((n, n))
     np.add.at(a, (ri, ci), vv)
     return a
@@ -564,11 +571,12 @@ def _make_solve(
     if n == 0:
         return lambda b: np.empty((0,) + np.shape(b)[1:])
     if backend == "sparse":
+        _, splu = _scipy_sparse()
         try:
             if perm is not None:
                 inverse = np.empty_like(perm)
                 inverse[perm] = np.arange(perm.size)
-                lu = _splu(
+                lu = splu(
                     a_red[perm][:, perm].tocsc(),
                     permc_spec="NATURAL",
                     options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
@@ -578,7 +586,7 @@ def _make_solve(
                     return lu.solve(np.asarray(b)[perm])[inverse]
 
                 return _solve_nd
-            lu = _splu(a_red.tocsc())
+            lu = splu(a_red.tocsc())
         except RuntimeError as exc:
             raise CrossbarError("singular crossbar system") from exc
         return lu.solve

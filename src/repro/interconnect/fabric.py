@@ -20,12 +20,15 @@ Table 1 device constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..devices.technology import MEMRISTOR_5NM, MemristorTechnology
 from ..errors import CrossbarError
+
+# networkx is imported by the methods that use it, so importing the
+# package does not pay for it.
+if TYPE_CHECKING:
+    import networkx as nx
 
 Cell = Tuple[int, int]
 
@@ -96,6 +99,8 @@ class ProgrammableFabric:
             raise CrossbarError(
                 f"fabric needs at least 2x2 cells, got {rows}x{cols}"
             )
+        import networkx as nx
+
         self.rows = rows
         self.cols = cols
         self.technology = technology
@@ -131,6 +136,8 @@ class ProgrammableFabric:
     # -- routing -------------------------------------------------------------
 
     def _free_subgraph(self) -> nx.Graph:
+        import networkx as nx
+
         free = nx.Graph()
         free.add_nodes_from(self.graph.nodes)
         for a, b in self.graph.edges:
@@ -142,6 +149,8 @@ class ProgrammableFabric:
         """Route one net over currently-free switches; None if blocked."""
         self._check_cell(net.source)
         self._check_cell(net.sink)
+        import networkx as nx
+
         free = self._free_subgraph()
         try:
             path = nx.shortest_path(free, net.source, net.sink)

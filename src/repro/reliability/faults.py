@@ -21,12 +21,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..crossbar.memory import CrossbarMemory
 from ..errors import CrossbarError
+
+if TYPE_CHECKING:
+    from ..crossbar.memory import CrossbarMemory
 
 
 class FaultType(enum.Enum):

@@ -254,6 +254,30 @@ class TestNonFiniteDrive:
         assert board.stats.as_dict() == before
 
 
+class TestRefusedWireResistance:
+    """An IR-drop column read the solver refuses for its wire
+    resistance bills nothing, as a refused ``read_iv`` does."""
+
+    BAD = [np.nan, np.inf, -1.0]
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_column_currents(self, bad):
+        board = TestNonFiniteDrive._board()
+        before = board.stats.as_dict()
+        with pytest.raises(CrossbarError, match="wire_resistance must be"):
+            board.column_currents(np.full(4, 0.1), wire_resistance=bad)
+        assert board.stats.as_dict() == before
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_column_currents_many(self, bad):
+        board = TestNonFiniteDrive._board()
+        before = board.stats.as_dict()
+        with pytest.raises(CrossbarError, match="wire_resistance must be"):
+            board.column_currents_many(np.full((3, 4), 0.1),
+                                       wire_resistance=bad)
+        assert board.stats.as_dict() == before
+
+
 class TestNoisyBoard:
     def test_zero_noise_matches_ideal(self):
         g = _conductances()
