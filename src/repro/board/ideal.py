@@ -6,11 +6,14 @@ directly (``voltages @ G`` for ideal wires, the sparse nodal solver for
 IR drop), in the same floating-point operation order, so results are
 **bit-identical** to the legacy paths (property-tested in
 ``tests/test_property_board.py``).  IR-drop column reads take the
-solver's terminal-current entry point, which answers a warm cache
+solver's terminal-current core, which answers a warm cache
 entry from its transfer matrix and matches the full solvers bit for
-bit on the same entry state.  What the board adds is uniformity: cost
-stats, the digest identity, and the same five verbs the noisy and
-hardware boards speak.
+bit on the same entry state.  IR-drop reads call the solver's private
+cores with the conductance digest the board memoises per written state
+(cleared by every write), so a warm read neither hashes nor re-scans
+the array: ``program`` and ``pulse`` checked it when they wrote it.
+What the board adds is uniformity: cost stats, the digest identity,
+and the same five verbs the noisy and hardware boards speak.
 """
 
 from __future__ import annotations
@@ -20,10 +23,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..crossbar.solver import (
-    column_currents_with_wire_resistance,
+    _column_currents,
+    _digest,
+    _junction_variants,
+    _solve,
     solve_ideal_wires,
-    solve_junction_variants,
-    solve_with_wire_resistance,
 )
 from ..errors import BoardError
 from ..spec.techspec import TechSpec
@@ -49,6 +53,14 @@ class IdealSimBoard(Board):
         super().__init__(rows, cols, spec=spec)
         self._g = np.zeros((rows, cols))
         self._g_row_sums = np.zeros(rows)
+        self._g_digest: Optional[bytes] = None
+
+    def _conductance_digest(self) -> bytes:
+        """The solver cache's digest of the array, taken at the first
+        IR-drop read after a write."""
+        if self._g_digest is None:
+            self._g_digest = _digest(self._g)
+        return self._g_digest
 
     # -- programming -------------------------------------------------------
 
@@ -57,6 +69,7 @@ class IdealSimBoard(Board):
         (used by wrapper boards that own the write accounting)."""
         self._g = np.asarray(conductances, dtype=float).copy()
         self._g_row_sums = self._g.sum(axis=1)
+        self._g_digest = None
 
     def program(self, conductances: np.ndarray) -> None:
         g = self._check_conductances(conductances)
@@ -75,6 +88,7 @@ class IdealSimBoard(Board):
             )
         self._g[row, col] = float(conductance)
         self._g_row_sums[row] = self._g[row].sum()
+        self._g_digest = None
         self._charge_pulse()
 
     def read_conductances(self) -> np.ndarray:
@@ -95,12 +109,9 @@ class IdealSimBoard(Board):
             solution = solve_ideal_wires(self._g, dict(row_drive),
                                          dict(col_drive))
         else:
-            solution = solve_with_wire_resistance(
-                self._g, dict(row_drive), dict(col_drive),
-                wire_resistance=wire_resistance,
-                driver_resistance=driver_resistance,
-                backend=backend,
-            )
+            solution = _solve(self._g, self._conductance_digest(),
+                              dict(row_drive), dict(col_drive),
+                              wire_resistance, driver_resistance, backend)
         power = _drive_power(solution, row_drive, col_drive)
         self._charge_read(power)
         return solution
@@ -115,12 +126,10 @@ class IdealSimBoard(Board):
         driver_resistance: float = 0.0,
         backend: str = "auto",
     ) -> Tuple[Any, List[Any]]:
-        base, others = solve_junction_variants(
-            self._g, dict(row_drive), dict(col_drive), list(variants),
-            wire_resistance=wire_resistance,
-            driver_resistance=driver_resistance,
-            backend=backend,
-        )
+        base, others = _junction_variants(
+            self._g, self._conductance_digest(), dict(row_drive),
+            dict(col_drive), list(variants), wire_resistance,
+            driver_resistance, backend)
         self._charge_read(
             _drive_power(base, row_drive, col_drive), reads=1 + len(others))
         return base, others
@@ -137,10 +146,9 @@ class IdealSimBoard(Board):
         if wire_resistance is None:
             currents: np.ndarray = v @ self._g
         else:
-            currents = column_currents_with_wire_resistance(
-                self._g, v[None, :], wire_resistance=wire_resistance,
-                backend=backend,
-            )[0]
+            currents = _column_currents(
+                self._g, self._conductance_digest(), v[None, :],
+                wire_resistance, backend)[0]
         self._charge_read(float((v ** 2) @ self._g_row_sums), words=1)
         return currents
 
@@ -155,8 +163,8 @@ class IdealSimBoard(Board):
         if wire_resistance is None:
             currents: np.ndarray = v @ self._g
         else:
-            currents = column_currents_with_wire_resistance(
-                self._g, v, wire_resistance=wire_resistance, backend=backend)
+            currents = _column_currents(self._g, self._conductance_digest(),
+                                        v, wire_resistance, backend)
         power = float(((v ** 2) @ self._g_row_sums).sum())
         self._charge_read(power, reads=v.shape[0], words=v.shape[0])
         return currents

@@ -223,8 +223,13 @@ class NoisyInstrumentBoard(Board):
         fault population characterised at the memory level replays onto
         the analog board.
         """
-        for (row, col), kind in sorted(faults.items()):
-            self._set_fault(row, col, kind)
+        try:
+            for (row, col), kind in sorted(faults.items()):
+                self._set_fault(row, col, kind)
+        finally:
+            # Reads go through the inner board: show it the stuck cells
+            # (a defect, not a write, so nothing is charged).
+            self._solver._load(self._g)
 
     def inject_random_faults(self, count: int) -> List[Tuple[int, int]]:
         """Inject *count* faults at distinct random cells (board rng)."""
@@ -245,6 +250,7 @@ class NoisyInstrumentBoard(Board):
             kind = kinds[int(self._rng.integers(0, len(kinds)))]
             self._set_fault(row, col, kind)
             injected.append((row, col))
+        self._solver._load(self._g)
         return injected
 
     # -- the signal chain --------------------------------------------------

@@ -35,7 +35,12 @@ fixed-point loop in :func:`repro.crossbar.sneak.solve_access`,
 per-input :meth:`repro.analog.crossbar.AnalogCrossbar.matvec`, the
 two-phase multistage readout — reuse the factorization instead of
 re-factoring.  An exact digest hit returns bit-identical results to
-the solve that cached the entry.
+the solve that cached the entry.  The public entry points check and
+digest the caller's array on every call, so an array mutated in place
+between solves never resurrects a stale entry.  Those a board reads
+through then run private cores that :class:`repro.board.IdealSimBoard`
+calls directly: it digests once per written state and skips the
+conductance scans its writes made.
 
 Writes change the digest, but a single-cell write is only a rank-1
 change of the nodal matrix.  On a digest miss the cache therefore looks
@@ -81,8 +86,8 @@ they add ``δ`` at their pinned columns directly.  Every entry point
 answers from its entry's state *at call start*: from ``T`` if the
 family has one, else from junction sums.  Full solutions for the
 entry's own conductances then also take ``col_currents`` from ``T``,
-through one helper with the same block shape, so the board and the
-solvers agree bit for bit; variant solutions keep their junction sums.
+as the same ``T·V`` product, so the board and the solvers agree bit
+for bit; variant solutions keep their junction sums.
 Only the terminal-current verb counts and builds, after answering, so a
 cold first answer is exactly the junction sum.  ``T`` is published
 under the cache lock, and the ``crossbar_transfer_total{result=build|
@@ -312,10 +317,7 @@ def solve_ideal_wires(
     if (g < 0).any():
         raise CrossbarError("conductances must be non-negative")
     rows, cols = g.shape
-    _check_drive(row_drive, rows, "row")
-    _check_drive(col_drive, cols, "col")
-    if not row_drive and not col_drive:
-        raise CrossbarError("at least one line must be driven")
+    _check_drives(row_drive, col_drive, g.shape)
 
     floating_rows = [r for r in range(rows) if r not in row_drive]
     floating_cols = [c for c in range(cols) if c not in col_drive]
@@ -424,6 +426,66 @@ class _Factorization:
     response: Optional[np.ndarray] = None
     change: Optional[Tuple[Tuple[np.ndarray, ...],
                            Optional[Tuple[np.ndarray, ...]]]] = None
+
+    def family(self, name: str) -> Optional[np.ndarray]:
+        """This entry's ``transfer`` or ``response`` (*name*) if its
+        family has one, else None.  A derived entry moves its base's on
+        first use (:func:`_retarget`, :func:`_respond`), keeps the
+        result and counts it."""
+        own = getattr(self, name)
+        if own is not None or self.base is None:
+            return own
+        base = getattr(self.base, name)
+        if base is None:
+            return None
+        transfer = name == "transfer"
+        moved = (_retarget if transfer else _respond)(self.base, self.change,
+                                                      base)
+        with _CACHE_LOCK:
+            if getattr(self, name) is None:
+                setattr(self, name, moved)
+                (_TRANSFER_UPDATE if transfer else _RESPONSE_UPDATE).inc()
+            return getattr(self, name)
+
+    def publish(self, name: str) -> None:
+        """Build this real entry's ``transfer`` or ``response`` (*name*)
+        outside the lock and publish it once, counting the build."""
+        transfer = name == "transfer"
+        built = (_build_transfer if transfer else _build_response)(self)
+        with _CACHE_LOCK:
+            if getattr(self, name) is None:
+                setattr(self, name, built)
+                (_TRANSFER_BUILD if transfer else _RESPONSE_BUILD).inc()
+
+    def note_served(self, count: int) -> None:
+        """Count *count* columns the terminal-current verb answered from
+        this entry; once its family has served as many as the array has
+        column lines (the adjoint build's break-even), build the
+        family's transfer matrix on its real entry."""
+        root = self.base or self
+        with _CACHE_LOCK:
+            root.served += count
+            due = root.transfer is None and root.served >= root.g.shape[1]
+        if due:
+            root.publish("transfer")
+
+    def note_answering(self, count: int) -> None:
+        """Count *count* drive columns a full-solution entry point is
+        about to answer from this entry.  A family that has already
+        answered as many as it has pinned drivers (the build's
+        break-even: one solve per driver) first builds its port response
+        on its real entry, so a one-off call never builds one, however
+        many columns it answers.  Only few-driver structures get one
+        (pinned drivers, at most :data:`_TRANSFER_BLOCK` of them), so
+        ``R`` never outgrows one adjoint block."""
+        root = self.base or self
+        drivers = root.pinned.size  # 0 when the drivers are resistive
+        with _CACHE_LOCK:
+            due = (root.response is None and 0 < drivers <= _TRANSFER_BLOCK
+                   and root.answered >= drivers)
+            root.answered += count
+        if due:
+            root.publish("response")
 
 
 _CACHE_LOCK = threading.Lock()
@@ -909,59 +971,6 @@ def _respond(base: _Factorization, change: Tuple, response: np.ndarray
     return moved
 
 
-def _family_matrix(fact: _Factorization, name: str, move: Callable,
-                   counter) -> Optional[np.ndarray]:
-    """*fact*'s ``transfer`` or ``response`` (*name*) if its family has
-    one, else None.  A derived entry moves its base's through *move* on
-    first use, keeps the result and counts it on *counter*."""
-    own = getattr(fact, name)
-    if own is not None or fact.base is None:
-        return own
-    base = getattr(fact.base, name)
-    if base is None:
-        return None
-    moved = move(fact.base, fact.change, base)
-    with _CACHE_LOCK:
-        if getattr(fact, name) is None:
-            setattr(fact, name, moved)
-            counter.inc()
-        return getattr(fact, name)
-
-
-def _transfer(fact: _Factorization) -> Optional[np.ndarray]:
-    """*fact*'s transfer matrix if its family has one, else None."""
-    return _family_matrix(fact, "transfer", _retarget, _TRANSFER_UPDATE)
-
-
-def _response(fact: _Factorization) -> Optional[np.ndarray]:
-    """*fact*'s port response if its family has one, else None."""
-    return _family_matrix(fact, "response", _respond, _RESPONSE_UPDATE)
-
-
-def _publish(root: _Factorization, name: str, build: Callable, counter
-             ) -> None:
-    """Build real entry *root*'s ``transfer`` or ``response`` (*name*)
-    outside the lock and publish it once, counting it on *counter*."""
-    built = build(root)
-    with _CACHE_LOCK:
-        if getattr(root, name) is None:
-            setattr(root, name, built)
-            counter.inc()
-
-
-def _note_served(fact: _Factorization, count: int) -> None:
-    """Count *count* columns the terminal-current verb answered from
-    *fact*; once its family has served as many as the array has column
-    lines (the adjoint build's break-even), build the family's transfer
-    matrix on its real entry."""
-    root = fact if fact.base is None else fact.base
-    with _CACHE_LOCK:
-        root.served += count
-        due = root.transfer is None and root.served >= root.g.shape[1]
-    if due:
-        _publish(root, "transfer", _build_transfer, _TRANSFER_BUILD)
-
-
 def _build_response(fact: _Factorization) -> np.ndarray:
     """Real entry *fact*'s port response: ``R = A⁻¹·B`` with ``B =
     -a_up``, one column per pinned driver from one multi-RHS solve, held
@@ -974,41 +983,25 @@ def _build_response(fact: _Factorization) -> np.ndarray:
     return response
 
 
-def _note_answering(fact: _Factorization, count: int) -> None:
-    """Count *count* drive columns a full-solution entry point is about
-    to answer from *fact*.  A family that has already answered as many
-    as it has pinned drivers (the build's break-even: one solve per
-    driver) first builds its port response on its real entry, so a
-    one-off call never builds one, however many columns it answers.
-    Only few-driver structures get one (pinned drivers, at most
-    :data:`_TRANSFER_BLOCK` of them), so ``R`` never outgrows one
-    adjoint block."""
-    root = fact if fact.base is None else fact.base
-    drivers = root.pinned.size  # 0 when the drivers are resistive
-    with _CACHE_LOCK:
-        due = (root.response is None and 0 < drivers <= _TRANSFER_BLOCK
-               and root.answered >= drivers)
-        root.answered += count
-    if due:
-        _publish(root, "response", _build_response, _RESPONSE_BUILD)
+def _digest(g: np.ndarray) -> bytes:
+    """The cache key's conductance digest: blake2b over *g*'s bytes."""
+    return hashlib.blake2b(np.ascontiguousarray(g).tobytes(),
+                           digest_size=16).digest()
 
 
 def _get_factorization(
     g: np.ndarray,
+    digest: bytes,
     row_idx: Tuple[int, ...],
     col_idx: Tuple[int, ...],
     wire_resistance: float,
     driver_resistance: float,
     backend: str,
 ) -> _Factorization:
-    # The conductance digest is recomputed at *every* lookup (not
-    # stored at insert time), so mutating `g` in place between solves
-    # can never resurrect a stale factorization: the changed bytes hash
-    # to a different key and force a rebuild (or a low-rank update of a
-    # base whose own copy of the conductances is compared cell by cell).
-    digest = hashlib.blake2b(
-        np.ascontiguousarray(g).tobytes(), digest_size=16
-    ).digest()
+    # *digest* is _digest(g) of g's current bytes, taken per call for a
+    # caller's array and once per written state by a board: changed
+    # bytes hash to a different key and force a rebuild (or a low-rank
+    # update of a base whose own copy of g is compared cell by cell).
     structure = (
         g.shape, row_idx, col_idx,
         float(wire_resistance), float(driver_resistance), backend,
@@ -1048,13 +1041,8 @@ def _get_factorization(
     return fact
 
 
-def _validate_wire_problem(
-    conductances: np.ndarray,
-    wire_resistance: float,
-    driver_resistance: float,
-    backend: str,
-) -> Tuple[np.ndarray, str]:
-    """Shared validation for the wire-resistance entry points."""
+def _check_conductances(conductances: np.ndarray) -> np.ndarray:
+    """A caller's conductance matrix as a checked 2-D float array."""
     g = np.asarray(conductances, dtype=float)
     if g.ndim != 2:
         raise CrossbarError(f"conductance matrix must be 2-D, got shape {g.shape}")
@@ -1062,7 +1050,13 @@ def _validate_wire_problem(
         raise CrossbarError("conductances must be finite")
     if (g < 0).any():
         raise CrossbarError("conductances must be non-negative")
-    rows, cols = g.shape
+    return g
+
+
+def _check_options(shape: Tuple[int, ...], wire_resistance: float,
+                   driver_resistance: float, backend: str) -> str:
+    """Check a wire-resistance problem's scalars; the resolved backend."""
+    rows, cols = shape
     if not (math.isfinite(wire_resistance) and wire_resistance > 0):
         raise CrossbarError(
             f"wire_resistance must be finite and positive, got {wire_resistance!r}")
@@ -1077,7 +1071,7 @@ def _validate_wire_problem(
             f"wire-resistance fallback (limit {DENSE_NODE_LIMIT} nodes); "
             "install scipy (the repro[fast] extra) for the sparse backend"
         )
-    return g, backend
+    return backend
 
 
 def _rhs(fact: _Factorization, drive_volts: np.ndarray) -> np.ndarray:
@@ -1110,7 +1104,7 @@ def _solve_node_voltages(
     goes through the factorization.
     """
     k = drive_volts.shape[1]
-    response = _response(fact)
+    response = fact.family("response")
     if response is not None:
         x = response @ drive_volts
         z = (np.empty((fact.unknown.size, 0)) if extra is None
@@ -1133,13 +1127,6 @@ def _solve_node_voltages(
     _note_solve(_SOLVES_WIRE, fact.unknown.size, k, lambda: (
         fact.a_red, _rhs(fact, drive_volts), x[fact.unknown]))
     return x, z
-
-
-def _transfer_currents(transfer: np.ndarray, drive_volts: np.ndarray) -> np.ndarray:
-    """``T·V``: column currents ``(cols, k)`` for a ``(n_drivers, k)``
-    drive block.  Every entry point answers a family's block through
-    here, so the same block gets the same bits from each of them."""
-    return transfer @ drive_volts
 
 
 def _wire_solution(
@@ -1199,28 +1186,26 @@ def solve_with_wire_resistance(
     conductance perturbations through :func:`solve_junction_variants`,
     both reusing one factorization.
     """
-    g, backend = _validate_wire_problem(
-        conductances, wire_resistance, driver_resistance, backend
-    )
-    rows, cols = g.shape
-    _check_drive(row_drive, rows, "row")
-    _check_drive(col_drive, cols, "col")
-    if not row_drive and not col_drive:
-        raise CrossbarError("at least one line must be driven")
+    g = _check_conductances(conductances)
+    return _solve(g, _digest(g), row_drive, col_drive, wire_resistance,
+                  driver_resistance, backend)
 
-    row_idx = tuple(sorted(row_drive))
-    col_idx = tuple(sorted(col_drive))
-    fact = _get_factorization(
-        g, row_idx, col_idx, wire_resistance, driver_resistance, backend
-    )
-    transfer = _transfer(fact)
-    drive_volts = np.array(
-        [row_drive[r] for r in row_idx] + [col_drive[c] for c in col_idx]
-    )[:, None]
-    _note_answering(fact, 1)
+
+def _solve(g: np.ndarray, digest: bytes, row_drive: LineDrive,
+           col_drive: LineDrive, wire_resistance: float,
+           driver_resistance: float, backend: str) -> CrossbarSolution:
+    """Checked-*g* core of :func:`solve_with_wire_resistance`."""
+    backend = _check_options(g.shape, wire_resistance, driver_resistance,
+                             backend)
+    row_idx, col_idx, volts = _check_drives(row_drive, col_drive, g.shape)
+    fact = _get_factorization(g, digest, row_idx, col_idx, wire_resistance,
+                              driver_resistance, backend)
+    transfer = fact.family("transfer")
+    drive_volts = volts[:, None]
+    fact.note_answering(1)
     x, _ = _solve_node_voltages(fact, drive_volts)
     return _wire_solution(g, x[:, 0], None if transfer is None
-                          else _transfer_currents(transfer, drive_volts)[:, 0])
+                          else (transfer @ drive_volts)[:, 0])
 
 
 def solve_many_with_wire_resistance(
@@ -1243,45 +1228,35 @@ def solve_many_with_wire_resistance(
 
     Solutions come back in input order.
     """
-    g, backend = _validate_wire_problem(
-        conductances, wire_resistance, driver_resistance, backend
-    )
-    rows, cols = g.shape
+    g = _check_conductances(conductances)
+    backend = _check_options(g.shape, wire_resistance, driver_resistance,
+                             backend)
     if not drives:
         return []
-    groups: "OrderedDict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[int]]" = (
-        OrderedDict()
-    )
+    groups: Dict[Tuple[Tuple[int, ...], Tuple[int, ...]], List[int]] = {}
+    patterns: List[np.ndarray] = []
     for index, (row_drive, col_drive) in enumerate(drives):
         try:
-            _check_drive(row_drive, rows, "row")
-            _check_drive(col_drive, cols, "col")
+            row_idx, col_idx, volts = _check_drives(row_drive, col_drive,
+                                                    g.shape)
         except CrossbarError as exc:
             raise CrossbarError(f"drive pattern {index}: {exc}") from None
-        if not row_drive and not col_drive:
-            raise CrossbarError(
-                f"drive pattern {index}: at least one line must be driven"
-            )
-        key = (tuple(sorted(row_drive)), tuple(sorted(col_drive)))
-        groups.setdefault(key, []).append(index)
+        groups.setdefault((row_idx, col_idx), []).append(index)
+        patterns.append(volts)
 
     solutions: List[Optional[CrossbarSolution]] = [None] * len(drives)
+    digest = _digest(g)
     for (row_idx, col_idx), members in groups.items():
-        fact = _get_factorization(
-            g, row_idx, col_idx, wire_resistance, driver_resistance, backend
-        )
-        transfer = _transfer(fact)
+        fact = _get_factorization(g, digest, row_idx, col_idx,
+                                  wire_resistance, driver_resistance, backend)
+        transfer = fact.family("transfer")
         drive_volts = np.empty((len(row_idx) + len(col_idx), len(members)))
         for column, index in enumerate(members):
-            row_drive, col_drive = drives[index]
-            drive_volts[:, column] = (
-                [row_drive[r] for r in row_idx]
-                + [col_drive[c] for c in col_idx]
-            )
-        _note_answering(fact, len(members))
+            drive_volts[:, column] = patterns[index]
+        fact.note_answering(len(members))
         x, _ = _solve_node_voltages(fact, drive_volts)
         currents = (None if transfer is None
-                    else _transfer_currents(transfer, drive_volts))
+                    else transfer @ drive_volts)
         for column, index in enumerate(members):
             solutions[index] = _wire_solution(
                 g, x[:, column], None if currents is None
@@ -1308,8 +1283,15 @@ def column_currents_with_wire_resistance(
     builds one, and later reads are a ``(cols, drivers)`` matrix
     product with no sparse solve (see the module docstring).
     """
-    g, backend = _validate_wire_problem(conductances, wire_resistance, 0.0,
-                                        backend)
+    g = _check_conductances(conductances)
+    return _column_currents(g, _digest(g), row_volts, wire_resistance,
+                            backend)
+
+
+def _column_currents(g: np.ndarray, digest: bytes, row_volts: np.ndarray,
+                     wire_resistance: float, backend: str) -> np.ndarray:
+    """Checked-*g* core of :func:`column_currents_with_wire_resistance`."""
+    backend = _check_options(g.shape, wire_resistance, 0.0, backend)
     rows, cols = g.shape
     v = np.asarray(row_volts, dtype=float)
     if v.ndim != 2 or v.shape[1] != rows:
@@ -1321,19 +1303,19 @@ def column_currents_with_wire_resistance(
                             f"must be finite, got {float(v[k, row])!r}")
     if not v.shape[0]:
         return np.empty((0, cols))
-    fact = _get_factorization(g, tuple(range(rows)), tuple(range(cols)),
+    fact = _get_factorization(g, digest, tuple(range(rows)), tuple(range(cols)),
                               wire_resistance, 0.0, backend)
-    transfer = _transfer(fact)
+    transfer = fact.family("transfer")
     drive_volts = np.zeros((rows + cols, v.shape[0]))
     drive_volts[:rows] = v.T
     if transfer is not None:
         _SOLVES_WIRE.inc(v.shape[0])
-        currents = _transfer_currents(transfer, drive_volts).T
+        currents = (transfer @ drive_volts).T
     else:
         x, _ = _solve_node_voltages(fact, drive_volts)
         currents = np.stack([_wire_solution(g, x[:, k]).col_currents
                              for k in range(v.shape[0])])
-    _note_served(fact, v.shape[0])
+    fact.note_served(v.shape[0])
     return currents
 
 
@@ -1364,14 +1346,22 @@ def solve_junction_variants(
     denominator degenerates (a variant that disconnects its junction
     exactly).
     """
-    g, backend = _validate_wire_problem(
-        conductances, wire_resistance, driver_resistance, backend
-    )
+    g = _check_conductances(conductances)
+    return _junction_variants(g, _digest(g), row_drive, col_drive, variants,
+                              wire_resistance, driver_resistance, backend)
+
+
+def _junction_variants(
+    g: np.ndarray, digest: bytes, row_drive: LineDrive, col_drive: LineDrive,
+    variants: Sequence[Tuple[int, int, float]], wire_resistance: float,
+    driver_resistance: float, backend: str,
+) -> Tuple[CrossbarSolution, List[CrossbarSolution]]:
+    """Checked-*g* core of :func:`solve_junction_variants`."""
+    backend = _check_options(g.shape, wire_resistance, driver_resistance,
+                             backend)
     rows, cols = g.shape
-    _check_drive(row_drive, rows, "row")
-    _check_drive(col_drive, cols, "col")
-    if not row_drive and not col_drive:
-        raise CrossbarError("at least one line must be driven")
+    row_idx, col_idx, drive_volts = _check_drives(row_drive, col_drive,
+                                                  g.shape)
     cells = np.empty(len(variants), dtype=np.intp)
     deltas = np.empty(len(variants))
     for k, (row, col, g_new) in enumerate(variants):
@@ -1388,14 +1378,8 @@ def solve_junction_variants(
         cells[k] = row * cols + col
         deltas[k] = float(g_new) - g[row, col]
 
-    row_idx = tuple(sorted(row_drive))
-    col_idx = tuple(sorted(col_drive))
-    fact = _get_factorization(
-        g, row_idx, col_idx, wire_resistance, driver_resistance, backend
-    )
-    drive_volts = np.array(
-        [row_drive[r] for r in row_idx] + [col_drive[c] for c in col_idx]
-    )
+    fact = _get_factorization(g, digest, row_idx, col_idx, wire_resistance,
+                              driver_resistance, backend)
     # A variant moves no node voltage when it changes nothing or when
     # both its junction nodes are pinned by drivers (the change only
     # re-routes current through the ideal sources).
@@ -1404,14 +1388,14 @@ def solve_junction_variants(
     pi, pj, d = pi[active], pj[active], deltas[active]
     # The base right-hand side and every active variant's u column go
     # through the factorization as one multi-RHS block.
-    transfer = _transfer(fact)
-    _note_answering(fact, 1)
+    transfer = fact.family("transfer")
+    fact.note_answering(1)
     x, z = _solve_node_voltages(
         fact, drive_volts[:, None],
         _u_columns(pi, pj, fact.unknown.size) if active.size else None)
     x_base = x[:, 0]
     base = _wire_solution(g, x_base, None if transfer is None else
-                          _transfer_currents(transfer, drive_volts[:, None])[:, 0])
+                          (transfer @ drive_volts[:, None])[:, 0])
     y0 = x_base[fact.unknown]
     slot = dict(zip(active.tolist(), range(active.size)))
     if active.size:
@@ -1438,12 +1422,8 @@ def solve_junction_variants(
             results.append(_wire_solution(g_var, x_base))
         elif degenerate[m]:
             # The variant disconnects its junction exactly: solve it.
-            results.append(solve_with_wire_resistance(
-                g_var, row_drive, col_drive,
-                wire_resistance=wire_resistance,
-                driver_resistance=driver_resistance,
-                backend=backend,
-            ))
+            results.append(_solve(g_var, _digest(g_var), row_drive, col_drive,
+                                  wire_resistance, driver_resistance, backend))
         else:
             x = x_base.copy()
             x[fact.unknown] = y0 - shift[m] * z[:, m]
@@ -1461,6 +1441,20 @@ def _check_index(index, kind: str) -> None:
     except TypeError:
         raise CrossbarError(
             f"{kind} index {index!r} must be an integer") from None
+
+
+def _check_drives(
+    row_drive: LineDrive, col_drive: LineDrive, shape: Tuple[int, ...]
+) -> Tuple[Tuple[int, ...], Tuple[int, ...], np.ndarray]:
+    """Check one drive pattern against an array of *shape*; its driven
+    rows and columns, sorted, and their voltages in that order."""
+    _check_drive(row_drive, shape[0], "row")
+    _check_drive(col_drive, shape[1], "col")
+    if not row_drive and not col_drive:
+        raise CrossbarError("at least one line must be driven")
+    row_idx, col_idx = tuple(sorted(row_drive)), tuple(sorted(col_drive))
+    return row_idx, col_idx, np.array(
+        [row_drive[r] for r in row_idx] + [col_drive[c] for c in col_idx])
 
 
 def _check_drive(drive: LineDrive, count: int, kind: str) -> None:

@@ -15,34 +15,29 @@ Public API:
 * Structures: :class:`CrossbarLUT`, :class:`MemristiveCAM`.
 """
 
-from .adders import (
-    TCAdderCost,
-    add_integers_functional,
-    full_adder_program,
-    ripple_adder_program,
-)
-from .cam import WILDCARD, MemristiveCAM, SearchStats
-from .comparator import (
-    ComparatorCost,
-    nucleotide_comparator_program,
-    word_comparator_program,
-)
-from .gates import (
-    GATES,
-    and_gate,
-    build_gate,
-    nand_gate,
-    nor_gate,
-    not_gate,
-    or_gate,
-    xnor_gate,
-    xor_gate,
-)
-from .imply import CRSImplyCell, ImplyGate, ImplyVoltages, imp_truth
-from .lut import CrossbarLUT
-from .program import ImplyProgram, Instruction, OpKind
-from .sequencer import ExecutionReport, ImplyMachine
-from .synthesis import synthesise, truth_table_of, verify_program
+import importlib
+from typing import Any, Dict, List, Tuple
+
+#: Submodule -> the public names it defines.  Both are imported on
+#: first attribute access (PEP 562), so ``from repro.logic.program import
+#: ...`` — the kernel compiler's path — loads neither ``lut`` nor the
+#: crossbar memory beneath it.
+_EXPORTS: Dict[str, Tuple[str, ...]] = {
+    "adders": ("TCAdderCost", "add_integers_functional",
+               "full_adder_program", "ripple_adder_program"),
+    "cam": ("WILDCARD", "MemristiveCAM", "SearchStats"),
+    "comparator": ("ComparatorCost", "nucleotide_comparator_program",
+                   "word_comparator_program"),
+    "gates": ("GATES", "and_gate", "build_gate", "nand_gate", "nor_gate",
+              "not_gate", "or_gate", "xnor_gate", "xor_gate"),
+    "imply": ("CRSImplyCell", "ImplyGate", "ImplyVoltages", "imp_truth"),
+    "lut": ("CrossbarLUT",),
+    "program": ("ImplyProgram", "Instruction", "OpKind"),
+    "sequencer": ("ExecutionReport", "ImplyMachine"),
+    "synthesis": ("synthesise", "truth_table_of", "verify_program"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items()
+           for name in names}
 
 __all__ = [
     "imp_truth",
@@ -78,3 +73,16 @@ __all__ = [
     "WILDCARD",
     "SearchStats",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name in _ORIGIN:
+        module = importlib.import_module(f".{_ORIGIN[name]}", __name__)
+        return getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(_EXPORTS) | set(_ORIGIN))

@@ -20,7 +20,8 @@ This package is the measurement substrate for the whole simulator:
   exporters;
 * :mod:`repro.obs.httpexport` — the live ``/metrics`` + ``/healthz`` +
   ``/flight`` asyncio HTTP endpoint (stdlib only) and the ``repro top``
-  client helpers;
+  client helpers, imported on first access (it pulls in ``urllib`` and
+  ``http.client``, which only ``metrics_port=`` and ``repro top`` use);
 * :mod:`repro.obs.bench` — the ``BENCH_<name>.json`` benchmark
   telemetry harness;
 * :mod:`repro.obs.logsetup` — stdlib logging configuration
@@ -40,6 +41,9 @@ Quick start::
         sp.add_sim(energy=8e-15, latency=8e-10)
     print(tracer.render())
 """
+
+import importlib
+from typing import Any, List
 
 from .registry import (
     DEFAULT_BUCKETS,
@@ -64,14 +68,12 @@ from .context import (
 from .quantiles import DEFAULT_QUANTILES, P2Quantile, QuantileDigest
 from .flight import FlightRecord, FlightRecorder, get_flight_recorder
 from .slo import SLO, SLOTracker
-from .httpexport import TelemetryHTTPServer
 from .logsetup import configure_logging, get_logger
 from . import (
     bench,
     context,
     export,
     flight,
-    httpexport,
     logsetup,
     quantiles,
     registry,
@@ -121,3 +123,14 @@ __all__ = [
     "slo",
     "tracing",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in ("httpexport", "TelemetryHTTPServer"):
+        module = importlib.import_module(".httpexport", __name__)
+        return module if name == "httpexport" else module.TelemetryHTTPServer
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | {"httpexport", "TelemetryHTTPServer"})

@@ -21,14 +21,16 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, IO, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, IO, Mapping, Optional, Union
 
 from ..errors import DeadlineExceeded, ReproError, ServeError, ServerOverloaded
-from ..obs.httpexport import TelemetryHTTPServer
 from ..obs.logsetup import get_logger
 from .cluster import ClusterServer
 from .request import request_from_dict, result_to_dict
 from .server import KernelServer
+
+if TYPE_CHECKING:
+    from ..obs.httpexport import TelemetryHTTPServer
 
 __all__ = ["ServeStats", "serve_jsonl"]
 
@@ -76,7 +78,11 @@ async def _pump(
     loop = asyncio.get_running_loop()
     telemetry: Optional[TelemetryHTTPServer] = None
     if metrics_port is not None:
-        telemetry = TelemetryHTTPServer(
+        # Imported here: urllib and http.client add start-up time to
+        # every serve process, and only a metrics endpoint needs them.
+        from ..obs import httpexport
+
+        telemetry = httpexport.TelemetryHTTPServer(
             port=metrics_port, health=server.stats)
         await telemetry.start()
         _LOG.info("metrics endpoint: %s/metrics", telemetry.url)

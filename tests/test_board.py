@@ -35,6 +35,12 @@ from repro.board.campaign import (
     split_overrides,
 )
 from repro.crossbar.memory import CrossbarMemory
+from repro.crossbar.solver import (
+    _CACHE_HIT,
+    _CACHE_MISS,
+    _CACHE_UPDATE,
+    clear_factorization_cache,
+)
 from repro.crossbar.sneak import read_margin
 from repro.engine import kernel_for_program, run_kernel
 from repro.errors import BoardError, CrossbarError, EngineError
@@ -361,6 +367,30 @@ class TestNoisyBoard:
         assert stored[0, 0] == pytest.approx(5e-4)
         assert stored[0, 1] == pytest.approx(5e-4)
 
+    def test_faults_injected_after_program_reach_reads(self):
+        board = NoisyInstrumentBoard(4, 4, seed=0)
+        board.program(np.full((4, 4), board.profile.g_min))
+        stats = board.stats.as_dict()
+        board.inject_faults({(1, 2): FaultType.SA1})
+        assert board.stats.as_dict() == stats  # a defect, not a write
+        assert board.read_conductances()[1, 2] == board.profile.g_max
+        want = np.ones(4) @ board.read_conductances()
+        for wire_resistance in (None, 1.0):
+            got = board.column_currents(np.ones(4),
+                                        wire_resistance=wire_resistance)
+            assert got[2] == pytest.approx(want[2], rel=1e-2)
+            assert got[2] > 100 * got[0]
+
+    def test_random_faults_reach_reads_without_charging(self):
+        board = NoisyInstrumentBoard(4, 4, seed=1)
+        board.program(np.full((4, 4), 5e-4))
+        stats = board.stats.as_dict()
+        board.inject_random_faults(6)
+        assert board.stats.as_dict() == stats
+        v = np.full(4, 0.2)
+        assert np.array_equal(board.column_currents(v),
+                              v @ board.read_conductances())
+
     def test_manufactured_fault_population_seeded(self):
         profile = InstrumentProfile(fault_rate=0.2)
         a = NoisyInstrumentBoard(8, 8, profile=profile, seed=3)
@@ -404,6 +434,93 @@ class TestNoisyBoard:
         # Devices sampled from the variability model really do differ.
         a, b = machine.device("x"), machine.device("y")
         assert a.thresholds != b.thresholds or a.r_on != b.r_on
+
+
+class TestDigestMemo:
+    """IR-drop reads use the conductance digest the board memoises per
+    written state: taken once, cleared by every write."""
+
+    def setup_method(self):
+        clear_factorization_cache()
+
+    @staticmethod
+    def _spy(monkeypatch):
+        import repro.board.ideal as ideal
+        import repro.crossbar.solver as solver
+
+        calls = []
+        real = solver._digest
+
+        def spy(g):
+            calls.append(g.copy())
+            return real(g)
+
+        monkeypatch.setattr(ideal, "_digest", spy)
+        monkeypatch.setattr(solver, "_digest", spy)
+        return calls
+
+    def test_mutating_written_arrays_leaves_reads_unchanged(self):
+        # One vector per read: too few for a transfer-matrix build, so
+        # every read below is the same entry's junction sum.
+        g = _conductances(6, 5)
+        v = np.random.default_rng(1).uniform(-0.2, 0.2, 6)
+        reference = IdealSimBoard(6, 5)
+        reference.program(g.copy())
+        want = reference.column_currents(v, wire_resistance=2.0)
+        board = IdealSimBoard(6, 5)
+        board.program(g)
+        board.column_currents(v, wire_resistance=2.0)  # memoise
+        g[2, 3] = 0.5
+        board.read_conductances()[0, 0] = 0.5
+        got = board.column_currents(v, wire_resistance=2.0)
+        assert np.array_equal(got, want)
+        assert np.array_equal(board.read_conductances(),
+                              reference.read_conductances())
+
+    def test_pulse_back_answers_from_the_original_entry(self):
+        board = IdealSimBoard(6, 5)
+        board.program(_conductances(6, 5))
+        v = np.full(6, 0.1)
+        first = board.column_currents(v, wire_resistance=2.0)
+        old = board.read_conductances()[3, 2]
+        board.pulse(3, 2, 2 * old)
+        assert not np.array_equal(
+            board.column_currents(v, wire_resistance=2.0), first)
+        board.pulse(3, 2, old)
+        counts = (_CACHE_HIT.value, _CACHE_MISS.value, _CACHE_UPDATE.value)
+        again = board.column_currents(v, wire_resistance=2.0)
+        assert (_CACHE_HIT.value, _CACHE_MISS.value,
+                _CACHE_UPDATE.value) == (counts[0] + 1, *counts[1:])
+        assert np.array_equal(again, first)
+
+    def test_digest_taken_once_per_written_state(self, monkeypatch):
+        calls = self._spy(monkeypatch)
+        board = IdealSimBoard(4, 4)
+        board.program(_conductances())
+        drive = ({0: 0.2}, {0: 0.0})
+
+        def read_all():
+            board.column_currents(np.full(4, 0.1), wire_resistance=1.0)
+            board.column_currents_many(np.full((2, 4), 0.1),
+                                       wire_resistance=1.0)
+            board.read_iv(*drive, wire_resistance=1.0)
+            board.read_iv_variants(*drive, [(1, 1, 1e-5)],
+                                   wire_resistance=1.0)
+
+        read_all()
+        read_all()
+        assert len(calls) == 1
+        board.column_currents(np.full(4, 0.1))  # ideal wires: no digest
+        board.read_iv(*drive)
+        board.pulse(2, 2, 1e-5)
+        board.pulse(2, 3, 1e-5)
+        assert len(calls) == 1  # taken at the first read, not the write
+        read_all()
+        assert len(calls) == 2
+        assert np.array_equal(calls[-1], board.read_conductances())
+        board.program(_conductances(seed=4))
+        read_all()
+        assert len(calls) == 3
 
 
 class TestHardwareStub:

@@ -70,6 +70,44 @@ def test_serving_loads_neither_scipy_nor_networkx():
     assert out.strip() == "[]"
 
 
+def test_serving_loads_no_crossbar_board_or_http_exporter():
+    """The kernel compiler reaches ``repro.logic.program`` only, and the
+    HTTP exporter loads with a metrics endpoint, not with serving."""
+    out = _check("""
+        import sys
+        import repro.api, repro.serve
+        assert "repro.obs.httpexport" not in sys.modules
+        from repro import api
+        result = api.run_kernel(kernel="adder", width=32,
+                                operands={"a": [1, 2], "b": [3, 4]})
+        assert result.word("sum").tolist() == [4, 6]
+        print(sorted(m for m in ("repro.crossbar", "repro.board",
+                                 "repro.logic.lut", "repro.obs.httpexport")
+                     if m in sys.modules))
+    """)
+    assert out.strip() == "[]"
+
+
+def test_lazy_logic_and_obs_expose_every_name():
+    out = _check("""
+        import repro.logic, repro.obs
+        for package in (repro.logic, repro.obs):
+            namespace = {}
+            exec(f"from {package.__name__} import *", namespace)
+            missing = [n for n in package.__all__ if n not in namespace]
+            assert not missing, missing
+            assert set(package.__all__) <= set(dir(package))
+        assert repro.logic.lut.CrossbarLUT is repro.logic.CrossbarLUT
+        assert repro.obs.httpexport.TelemetryHTTPServer is (
+            repro.obs.TelemetryHTTPServer)
+        try:
+            repro.logic.no_such_name
+        except AttributeError:
+            print("ok")
+    """)
+    assert out.strip() == "ok"
+
+
 def test_board_sits_below_logic_and_reliability():
     out = _check("""
         import sys

@@ -15,6 +15,7 @@ import asyncio
 import dataclasses
 import io
 import json
+import logging
 import threading
 import time
 
@@ -582,6 +583,32 @@ class TestJsonlFrontend:
         assert records["a"]["outputs"]["sum"] == [4, 6]
         assert records["c"]["outputs"]["match"] == [1]
         assert records["bad"]["status"] == "error"
+
+    def test_metrics_port_serves_while_pumping(self, caplog):
+        """The exporter, imported only for ``metrics_port=``, answers
+        scrapes while the loop pumps requests."""
+        from repro.obs.httpexport import fetch_json
+
+        caplog.set_level(logging.INFO, logger="repro.serve.frontend")
+        health = {}
+
+        class Input:
+            lines = [json.dumps({"id": "a", "kernel": "adder", "width": 8,
+                                 "operands": {"a": [1], "b": [2]}}) + "\n"]
+
+            def readline(self):
+                if self.lines:
+                    return self.lines.pop()
+                (url,) = [record.args[0] for record in caplog.records
+                          if record.msg.startswith("metrics endpoint")]
+                health.update(fetch_json(url + "/healthz"))
+                return ""
+
+        out = io.StringIO()
+        stats = serve_jsonl(Input(), out, max_wait_us=1000, metrics_port=0)
+        assert stats.counts["ok"] == 1
+        assert json.loads(out.getvalue())["outputs"]["sum"] == [3]
+        assert health["status"] == "ok"
 
     def test_server_and_options_are_exclusive(self):
         with pytest.raises(ServeError):
