@@ -71,7 +71,6 @@ def _drive(profile, count, *, shards, requests=None, flight=None):
             shards=shards,
             workers=1,  # scaling must come from shards, not intra-shard pools
             max_batch_size=32,
-            max_wait_us=2000.0,
             queue_limit=4096,
             cache_capacity=0,  # measure execution, not cache hits
             telemetry=flight is not None,
@@ -160,7 +159,7 @@ def test_bench_cluster_billing_matches_solo(benchmark):
         async def scenario():
             async with ClusterServer(
                 shards=4, workers=1, max_batch_size=16,
-                max_wait_us=2000.0, cache_capacity=0,
+                cache_capacity=0,
             ) as cluster:
                 return await cluster.submit_many(requests)
 
@@ -170,7 +169,7 @@ def test_bench_cluster_billing_matches_solo(benchmark):
         async def scenario():
             results = []
             async with KernelServer(
-                max_batch_size=1, max_wait_us=0.0, cache_capacity=0,
+                max_batch_size=1, cache_capacity=0,
             ) as server:
                 for request in requests:
                     results.append(await server.submit(request))

@@ -3,8 +3,8 @@
 ISSUE 6 ships request-scoped telemetry (trace ids, flight records,
 wall-latency summaries) enabled by default, so this bench checks that
 recording costs less than 5 % of serve throughput on the
-``bench_serve`` workload — 512 single-word adder requests through a
-64-request batching window.
+``bench_serve`` workload — 512 single-word adder requests in batches
+of up to 64 requests.
 
 Methodology.  A naive wall-clock A/B (telemetry on vs. off) cannot
 resolve a 5 % effect on a shared CI runner: paired-median ratios here
@@ -74,7 +74,6 @@ def _serve(requests, telemetry, recorder=None):
     async def scenario():
         async with KernelServer(
             max_batch_size=BATCH_WINDOW,
-            max_wait_us=2000.0,
             queue_limit=REQUESTS,
             cache_capacity=0,
             telemetry=telemetry,

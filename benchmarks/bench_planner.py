@@ -65,7 +65,6 @@ def _serve(requests):
     async def scenario():
         async with KernelServer(
             max_batch_size=8,
-            max_wait_us=500.0,
             queue_limit=SERVE_REQUESTS,
             cache_capacity=0,
         ) as server:

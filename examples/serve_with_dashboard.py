@@ -6,7 +6,7 @@ Run:
 Walks the request-scoped telemetry loop end to end: starts a
 `KernelServer` (telemetry on by default) next to a
 `TelemetryHTTPServer`, pushes a burst of adder requests through the
-batching window, then scrapes the endpoint like a dashboard would —
+batcher, then scrapes the endpoint like a dashboard would —
 `/healthz`, `/metrics` (Prometheus text and JSON), `/flight?last=N` —
 and prints the per-kernel latency quantiles plus the last few flight
 records.  The console equivalent of the scrape loop:
@@ -33,7 +33,7 @@ async def main() -> None:
     recorder = get_flight_recorder()
     recorder.clear()
 
-    async with KernelServer(max_batch_size=64, max_wait_us=2000.0) as server:
+    async with KernelServer(max_batch_size=64) as server:
         http = TelemetryHTTPServer(health=server.stats)
         await http.start()
         try:

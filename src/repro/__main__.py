@@ -472,7 +472,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the async batched JSONL serving loop until input EOF."""
+    from ._compat import ignored_option
     from .serve.frontend import serve_jsonl
+
+    ignored_option("repro serve --max-wait-us", args.max_wait_us)
 
     in_stream = sys.stdin
     if args.input:
@@ -486,7 +489,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             replicas=args.replicas,
             quota=args.quota,
             max_batch_size=args.max_batch_size,
-            max_wait_us=args.max_wait_us,
             queue_limit=args.queue_limit,
             workers=args.workers,
             retries=args.retries,
@@ -657,8 +659,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "ServerOverloaded (default: unlimited)")
     serve.add_argument("--max-batch-size", type=int, default=64,
                        help="requests coalesced per batch (default 64)")
-    serve.add_argument("--max-wait-us", type=float, default=500.0,
-                       help="batching window in microseconds (default 500)")
+    serve.add_argument("--max-wait-us", type=float, default=None,
+                       help="deprecated and ignored: the batcher has no "
+                            "timer window")
     serve.add_argument("--queue-limit", type=int, default=1024,
                        help="bounded queue size; beyond it requests are "
                             "rejected with ServerOverloaded (default 1024)")

@@ -1,50 +1,32 @@
-"""Deprecation machinery for legacy module-level constants.
+"""Deprecation machinery for options that no longer do anything.
 
-PR 4 replaced every module-level Table 1 constant with the frozen
-:data:`repro.spec.TABLE1` tree but kept the old names as aliases.
-Those aliases are now formally deprecated: modules move them into a
-``{name: (replacement, value)}`` table and expose them through a
-PEP 562 module ``__getattr__`` built here, so every access still works
-but emits a single :class:`DeprecationWarning` (per name, per process)
-pointing at the :mod:`repro.api` / :mod:`repro.spec` replacement.
+A public spelling whose option loses its meaning keeps accepting it for
+two releases (the removal bar other modules cite as "the ``_compat``
+policy"): the option defaults to ``None``, and a caller that passes
+anything else gets a single :class:`DeprecationWarning` per spelling per
+process from :func:`ignored_option`.  The value is never forwarded.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Any, Callable, Mapping, Set, Tuple
+from typing import Any, Set
 
-__all__ = ["deprecated_module_attrs"]
+__all__ = ["ignored_option"]
 
 _WARNED: Set[str] = set()
 
 
-def deprecated_module_attrs(
-    module_name: str,
-    table: Mapping[str, Tuple[str, Any]],
-) -> Callable[[str], Any]:
-    """Build a module ``__getattr__`` serving deprecated constants.
+def ignored_option(spelling: str, value: Any) -> None:
+    """Warn once that *spelling* was passed; it is ignored.
 
-    *table* maps each legacy name to ``(replacement, value)`` where
-    *replacement* is the dotted modern spelling quoted in the warning
-    (e.g. ``"repro.spec.TABLE1.crossbar.dna_clusters"``).
+    ``value is None`` means the caller never passed the option, so
+    nothing happens.  *spelling* names the public entry point and the
+    option (e.g. ``"KernelServer(max_wait_us=)"``) and keys the
+    once-per-process bookkeeping.
     """
-
-    def __getattr__(name: str) -> Any:
-        try:
-            replacement, value = table[name]
-        except KeyError:
-            raise AttributeError(
-                f"module {module_name!r} has no attribute {name!r}"
-            ) from None
-        key = f"{module_name}.{name}"
-        if key not in _WARNED:
-            _WARNED.add(key)
-            warnings.warn(
-                f"{key} is deprecated; use {replacement} instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return value
-
-    return __getattr__
+    if value is None or spelling in _WARNED:
+        return
+    _WARNED.add(spelling)
+    warnings.warn(f"{spelling} is deprecated and ignored; stop passing it",
+                  DeprecationWarning, stacklevel=3)

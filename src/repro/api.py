@@ -310,7 +310,7 @@ def serve(
     replicas: int = 1,
     quota: Optional[int] = None,
     max_batch_size: int = 64,
-    max_wait_us: float = 500.0,
+    max_wait_us: Optional[float] = None,
     queue_limit: int = 1024,
     workers: int = 4,
     retries: int = 2,
@@ -330,10 +330,14 @@ def serve(
     routing, shared result cache, per-tenant quotas) instead of a
     single server.  With ``metrics_port`` a live telemetry endpoint
     (``/metrics`` + ``/healthz`` + ``/flight``) runs alongside for the
-    duration (``0`` = any free port).  Returns the
+    duration (``0`` = any free port).  ``max_wait_us`` is a deprecated
+    no-op (the batcher has no timer window).  Returns the
     :class:`~repro.serve.ServeStats` status tally.
     """
+    from ._compat import ignored_option
     from .serve.frontend import serve_jsonl
+
+    ignored_option("api.serve(max_wait_us=)", max_wait_us)
 
     return serve_jsonl(
         input if input is not None else sys.stdin,
@@ -342,7 +346,6 @@ def serve(
         replicas=replicas,
         quota=quota,
         max_batch_size=max_batch_size,
-        max_wait_us=max_wait_us,
         queue_limit=queue_limit,
         workers=workers,
         retries=retries,
@@ -393,7 +396,7 @@ def connect(
     replicas: int = 1,
     quota: Optional[int] = None,
     max_batch_size: int = 64,
-    max_wait_us: float = 500.0,
+    max_wait_us: Optional[float] = None,
     queue_limit: int = 1024,
     workers: int = 4,
     retries: int = 2,
@@ -413,12 +416,15 @@ def connect(
     any is non-default); the remaining knobs mirror the server
     constructor.  The returned client is a context manager exposing
     ``submit`` / ``submit_many`` / ``stats`` / ``close``; pair it with
-    :func:`request` to build submissions.
+    :func:`request` to build submissions.  ``max_wait_us`` is a
+    deprecated no-op (the batcher has no timer window).
     """
+    from ._compat import ignored_option
     from .serve.client import connect as _connect
     from .serve.cluster import ClusterServer
     from .serve.server import KernelServer
 
+    ignored_option("api.connect(max_wait_us=)", max_wait_us)
     if isinstance(target, (KernelServer, ClusterServer)):
         return _connect(target)
     return _connect(
@@ -427,7 +433,6 @@ def connect(
         replicas=replicas,
         quota=quota,
         max_batch_size=max_batch_size,
-        max_wait_us=max_wait_us,
         queue_limit=queue_limit,
         workers=workers,
         retries=retries,

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from .._compat import deprecated_module_attrs
 from ..errors import EngineError
 from ..logic.adders import TCAdderCost, ripple_adder_program
 from ..logic.comparator import (
@@ -155,11 +154,3 @@ def resolve_kernel(name: str, width: int = 32) -> CompiledKernel:
             f"{sorted(set(KERNEL_BUILDERS))}"
         )
     return builder(width)
-
-
-# CAMMatchCost moved to the unified cost-model seam; importing it from
-# here keeps working (one DeprecationWarning) per the _compat policy.
-__getattr__ = deprecated_module_attrs(
-    "repro.engine.builtins",
-    {"CAMMatchCost": ("repro.spec.costmodel.CAMMatchCost", _CAMMatchCost)},
-)

@@ -2,7 +2,7 @@
 
 "Why was this request slow?" needs more than aggregate histograms — it
 needs the last N requests' *individual* timelines: how long each one
-queued, waited for its batch window, executed, and split, whether it
+queued, waited for a free worker, executed, and split, whether it
 hit the cache, how often it retried, and how it terminated.  The
 serving layer records one :class:`FlightRecord` per completed request
 into a :class:`FlightRecorder` (``collections.deque`` ring, oldest

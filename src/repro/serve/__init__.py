@@ -3,9 +3,10 @@
 The request-serving front door the ROADMAP's "heavy traffic" north star
 asks for: an :mod:`asyncio` job server that accepts kernel-execution
 and Table 2 evaluation requests, coalesces compatible requests into
-single engine functional batches (dynamic batching:
-``max_batch_size`` / ``max_wait_us`` window), runs them on a bounded
-worker pool, and serves repeat submissions from a digest-keyed result
+single engine functional batches (work-conserving batching: the
+batcher waits for a free worker, never for a timer, then takes up to
+``max_batch_size`` queued requests), runs them on a bounded worker
+pool, and serves repeat submissions from a digest-keyed result
 cache — and, since PR 10, a sharded cluster of those servers behind a
 consistent-hash router, fronted by one uniform client facade.
 
@@ -33,13 +34,12 @@ Stable protocol exports: :class:`ServeRequest` / :class:`ServeResult`
 (:func:`make_request` builds them; JSONL codecs
 :func:`request_from_dict` / :func:`result_to_dict`), the
 :class:`~repro.serve.client.Client` protocol and :func:`connect`
-factory, and :class:`ServeStats`.  The old top-level spellings
-``repro.serve.KernelServer`` and ``repro.serve.serve_jsonl`` are
-deprecated in favour of :func:`repro.api.connect` /
-:func:`repro.api.serve` (PEP 562 shims; the direct submodule paths
-``repro.serve.server.KernelServer`` / ``repro.serve.cluster.ClusterServer``
-/ ``repro.serve.frontend.serve_jsonl`` stay warning-free for advanced
-in-process use).
+factory, and :class:`ServeStats`.  Servers are built through
+:func:`repro.api.connect` / :func:`repro.api.serve`; for advanced
+in-process use import them from their submodules
+(``repro.serve.server.KernelServer``,
+``repro.serve.cluster.ClusterServer``,
+``repro.serve.frontend.serve_jsonl``).
 
 Telemetry: every request gets a ``trace_id``/``request_id`` that
 survives batching into the engine spans, a per-request flight record
@@ -57,12 +57,8 @@ and ``cluster_cache_hits_total``.  A live ``/metrics`` + ``/healthz``
 with ``repro top``).
 """
 
-from typing import Any
-
-from .._compat import deprecated_module_attrs
 from .client import Client, connect
 from .frontend import ServeStats
-from .frontend import serve_jsonl as _serve_jsonl
 from .request import (
     REQUEST_KINDS,
     SERVE_BACKENDS,
@@ -73,11 +69,9 @@ from .request import (
     result_to_dict,
 )
 from .server import RunBatchFn
-from .server import KernelServer as _KernelServer
 
 __all__ = [
     "Client",
-    "KernelServer",
     "REQUEST_KINDS",
     "RunBatchFn",
     "SERVE_BACKENDS",
@@ -88,28 +82,4 @@ __all__ = [
     "make_request",
     "request_from_dict",
     "result_to_dict",
-    "serve_jsonl",
 ]
-
-#: Deprecated top-level spellings (PR 10 API redesign): the client
-#: facade replaced direct construction.  PEP 562 keeps them importable
-#: with one DeprecationWarning per name per process (see
-#: :mod:`repro._compat`); scheduled for removal once the replacement
-#: has been stable for two PRs.
-_DEPRECATED = {
-    "KernelServer": (
-        "repro.api.connect() (or repro.serve.server.KernelServer "
-        "for direct async use)",
-        _KernelServer,
-    ),
-    "serve_jsonl": (
-        "repro.api.serve() (or repro.serve.frontend.serve_jsonl)",
-        _serve_jsonl,
-    ),
-}
-
-__getattr__ = deprecated_module_attrs("repro.serve", _DEPRECATED)
-
-
-def __dir__() -> Any:
-    return sorted(set(globals()) | set(_DEPRECATED))

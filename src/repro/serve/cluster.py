@@ -13,8 +13,8 @@ A :class:`ClusterServer` runs ``shards × replicas``
 :class:`~repro.serve.router.ShardRouter` that consistent-hashes on the
 batching identity ``(kernel, width, spec digest)``, so batchable
 traffic keeps landing on the same shard and keeps coalescing there —
-sharding multiplies worker pools and batch windows without giving up
-the PR 5 dynamic-batching win.  Everything a single server guarantees
+sharding multiplies worker pools and batchers without giving up the
+dynamic-batching win.  Everything a single server guarantees
 still holds per request, because each shard *is* a single server: the
 deadline, retry, backpressure and billing machinery is reused, not
 reimplemented.
@@ -51,6 +51,7 @@ from collections import OrderedDict
 from threading import Lock
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
+from .._compat import ignored_option
 from ..errors import ServeError, ServerOverloaded, TransientExecutorError
 from ..obs.context import new_trace_context
 from ..obs.flight import FlightRecord, FlightRecorder, get_flight_recorder
@@ -101,7 +102,8 @@ class ClusterServer:
     The submit/submit_many/stats/drain surface matches
     :class:`KernelServer`, which is what lets the
     :class:`~repro.serve.client.Client` facade front either
-    interchangeably.
+    interchangeably.  ``max_wait_us`` is a deprecated no-op, as on
+    :class:`KernelServer`.
     """
 
     def __init__(
@@ -112,7 +114,7 @@ class ClusterServer:
         quota: Optional[int] = None,
         vnodes: int = DEFAULT_VNODES,
         max_batch_size: int = 64,
-        max_wait_us: float = 500.0,
+        max_wait_us: Optional[float] = None,
         queue_limit: int = 1024,
         workers: int = 4,
         retries: int = 2,
@@ -126,6 +128,7 @@ class ClusterServer:
     ) -> None:
         if quota is not None and quota < 1:
             raise ServeError(f"quota must be >= 1 in-flight, got {quota}")
+        ignored_option("ClusterServer(max_wait_us=)", max_wait_us)
         self.router = ShardRouter(shards, replicas=replicas, vnodes=vnodes)
         self.quota = None if quota is None else int(quota)
         self.cache_capacity = int(cache_capacity)
@@ -134,7 +137,6 @@ class ClusterServer:
         self._servers: List[KernelServer] = [
             KernelServer(
                 max_batch_size=max_batch_size,
-                max_wait_us=max_wait_us,
                 queue_limit=queue_limit,
                 workers=workers,
                 retries=retries,

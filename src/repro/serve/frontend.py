@@ -142,10 +142,13 @@ def serve_jsonl(
 ) -> ServeStats:
     """Serve newline-delimited JSON requests until EOF, then drain.
 
+    Lines are submitted as they are read, and the server's batcher is
+    work-conserving: requests read while every worker is busy coalesce
+    into one batch, and a lone request on an idle server runs at once.
     Pass an existing *server* (a
     :class:`~repro.serve.server.KernelServer` or
     :class:`~repro.serve.cluster.ClusterServer`), or server keyword
-    options (``max_batch_size``, ``max_wait_us``, ``queue_limit``,
+    options (``max_batch_size``, ``queue_limit``, ``workers``,
     ``spec``, ...) — with ``shards``/``replicas``/``quota`` at
     non-defaults the loop fronts a sharded :class:`ClusterServer`
     instead of a single server.  With *metrics_port* a

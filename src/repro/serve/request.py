@@ -11,7 +11,7 @@ A :class:`ServeRequest` describes one unit of work the server accepts:
 ``evaluate``
     Re-run the full Table 2 evaluation (optionally under per-request
     :meth:`~repro.spec.TechSpec.derive` overrides) and return its
-    metrics; identical evaluations dedupe within a batch window and
+    metrics; identical evaluations dedupe within a batch and
     across the digest-keyed result cache.
 
 Identity is content-addressed: :attr:`ServeRequest.digest` is a SHA-256

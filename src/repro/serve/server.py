@@ -3,7 +3,7 @@
 Dataflow (DESIGN.md section 8)::
 
     submit() ──▶ digest cache ──▶ bounded queue ──▶ batcher ──▶ worker pool
-                    │  hit               │ full         │ window      │
+                    │  hit               │ full         │ free worker │
                     ▼                    ▼              ▼             ▼
                  cached result    ServerOverloaded   coalesce     engine batch
                                                      by key     ──▶ split ──▶ futures
@@ -17,11 +17,13 @@ Dataflow (DESIGN.md section 8)::
   a full queue rejects the submission with
   :class:`~repro.errors.ServerOverloaded` *before* accepting it, so an
   overload burst never corrupts or delays already-accepted work.
-* **Dynamic batching** — the batcher takes the first queued request,
-  then keeps collecting until ``max_batch_size`` requests or
-  ``max_wait_us`` microseconds, whichever first; the window's requests
-  are grouped by :meth:`~repro.serve.request.ServeRequest.batch_key`
-  and each group coalesces its members' memoised operand arrays into
+* **Work-conserving batching** — the batcher takes the first queued
+  request, waits for a free worker, then takes whatever else is
+  already queued, up to ``max_batch_size`` requests; there is no
+  timer.  Requests that arrive while every worker is busy pile up and
+  coalesce; a request that finds a worker idle waits for nothing.
+  The batch is grouped by
+  :meth:`~repro.serve.request.ServeRequest.batch_key` and each group coalesces its members' memoised operand arrays into
   one engine execution
   (:func:`~repro.engine.coalesce_operand_batches` ➜
   :func:`~repro.engine.run_kernel` ➜ :meth:`~repro.engine.BatchResult.split`).
@@ -77,6 +79,7 @@ from typing import (
     Union,
 )
 
+from .._compat import ignored_option
 from ..engine import (
     BatchResult,
     coalesce_operand_batches,
@@ -297,8 +300,8 @@ class KernelServer:
     ``workers``-sized thread pool, with at most ``workers`` batches in
     flight.
 
-    Parameters mirror the serving knobs: ``max_batch_size`` /
-    ``max_wait_us`` (the batching window), ``queue_limit``
+    Parameters mirror the serving knobs: ``max_batch_size`` (the most
+    requests one batch takes), ``queue_limit``
     (backpressure bound), ``retries`` / ``backoff_s`` / ``transient``
     (retry policy), ``cache_capacity`` (digest result cache),
     ``spec`` (base :class:`~repro.spec.TechSpec`; per-request
@@ -307,14 +310,15 @@ class KernelServer:
     (request-scoped tracing + flight records + latency quantiles; on by
     default, the off switch exists for the A/B overhead benchmark), and
     ``flight`` (the recorder to write to; the process-wide one by
-    default).
+    default).  ``max_wait_us`` is a deprecated no-op: the batcher has no
+    timer window.
     """
 
     def __init__(
         self,
         *,
         max_batch_size: int = 64,
-        max_wait_us: float = 500.0,
+        max_wait_us: Optional[float] = None,
         queue_limit: int = 1024,
         workers: int = 4,
         retries: int = 2,
@@ -328,16 +332,14 @@ class KernelServer:
     ) -> None:
         if max_batch_size < 1:
             raise ServeError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait_us < 0:
-            raise ServeError(f"max_wait_us must be >= 0, got {max_wait_us}")
         if queue_limit < 1:
             raise ServeError(f"queue_limit must be >= 1, got {queue_limit}")
         if workers < 1:
             raise ServeError(f"workers must be >= 1, got {workers}")
         if retries < 0:
             raise ServeError(f"retries must be >= 0, got {retries}")
+        ignored_option("KernelServer(max_wait_us=)", max_wait_us)
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_us = float(max_wait_us)
         self.queue_limit = int(queue_limit)
         self.workers = int(workers)
         self.retries = int(retries)
@@ -525,6 +527,10 @@ class KernelServer:
             return await asyncio.wait_for(
                 asyncio.shield(pending.future), request.deadline_s)
         except asyncio.TimeoutError:
+            if pending.future.done():
+                # The answer landed in the same loop turn as the timer;
+                # it is already counted and recorded, so it stands.
+                return pending.future.result()
             pending.cancelled = True
             pending.future.cancel()
             _REQUESTS["deadline"].inc()
@@ -606,10 +612,16 @@ class KernelServer:
                 self._cache.popitem(last=False)
 
     async def _batch_loop(self) -> None:
-        """Collect batching windows forever (until the drain sentinel)."""
+        """Dispatch work-conserving batches until the drain sentinel.
+
+        Take the first queued request, wait for a free worker, then take
+        whatever else is already queued (up to ``max_batch_size``) —
+        no timer.  While every worker is busy the queue fills, so load
+        coalesces; an idle server dispatches a lone request at once.
+        """
         loop = asyncio.get_running_loop()
-        assert self._queue is not None
-        queue = self._queue
+        assert self._queue is not None and self._sem is not None
+        queue, sem = self._queue, self._sem
         stopping = False
         while not stopping:
             first = await queue.get()
@@ -617,21 +629,13 @@ class KernelServer:
                 break
             self._mark_dequeued(first)
             batch: List[_Pending] = [first]
-            window_end = loop.time() + self.max_wait_us * 1e-6
+            async with sem:  # wait for a free worker; the group takes it
+                pass
             while len(batch) < self.max_batch_size:
-                # Drain whatever is already queued without touching the
-                # event loop — one wait_for per *item* would burn the
-                # whole window on task scheduling during bursts.
                 try:
-                    item: Union[_Pending, _Stop] = queue.get_nowait()
+                    item = queue.get_nowait()
                 except asyncio.QueueEmpty:
-                    remaining = window_end - loop.time()
-                    if remaining <= 0:
-                        break
-                    try:
-                        item = await asyncio.wait_for(queue.get(), remaining)
-                    except asyncio.TimeoutError:
-                        break
+                    break
                 if isinstance(item, _Stop):
                     stopping = True
                     break

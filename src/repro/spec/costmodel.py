@@ -25,9 +25,9 @@ evaluation.  This module is the one seam all of them share:
 * :func:`board_stats_ledger` — the one renderer from board counters to
   a ledger (:meth:`repro.board.base.Board.ledger` delegates here).
 
-:class:`CAMMatchCost` moved here from :mod:`repro.engine.builtins` (a
-deprecated alias remains there): it is a cost model constant, not an
-engine artifact, and the planner needs it without importing the engine.
+:class:`CAMMatchCost` lives here, not in :mod:`repro.engine.builtins`:
+it is a cost model constant, not an engine artifact, and the planner
+needs it without importing the engine.
 """
 
 from __future__ import annotations

@@ -3,17 +3,20 @@
 ``repro.api`` is the one import downstream code is told to rely on, so
 its surface is pinned here: ``__all__`` and every signature are
 snapshotted literally — any drift fails this file and must be a
-deliberate, reviewed change.  The second half pins the live deprecation
-shims (PR 9's CAMMatchCost move, PR 10's ``repro.serve`` facade
-redesign): they still resolve (module ``__getattr__``) but emit exactly
-one DeprecationWarning naming the replacement.  The PR 4 constant
-aliases were removed in PR 10 once their replacements had been stable
-for two PRs (``tests/test_spec_consistency.py`` asserts they raise).
+deliberate, reviewed change.  The second half pins the deprecation
+policy: an alias is removed once its replacement has been stable for
+two releases, after which it must raise (the CAMMatchCost move to the
+spec layer, the ``repro.serve`` facade redesign;
+``tests/test_spec_consistency.py`` covers the old Table 1 constant
+aliases), and a dead option — ``max_wait_us`` since the batcher became
+work-conserving — is accepted at each public spelling, ignored, and
+warned about once.
 """
 
 from __future__ import annotations
 
 import inspect
+import io
 import warnings
 
 import pytest
@@ -67,7 +70,7 @@ EXPECTED_SIGNATURES = {
         "replicas": "1",
         "quota": "None",
         "max_batch_size": "64",
-        "max_wait_us": "500.0",
+        "max_wait_us": "None",
         "queue_limit": "1024",
         "workers": "4",
         "retries": "2",
@@ -95,7 +98,7 @@ EXPECTED_SIGNATURES = {
         "replicas": "1",
         "quota": "None",
         "max_batch_size": "64",
-        "max_wait_us": "500.0",
+        "max_wait_us": "None",
         "queue_limit": "1024",
         "workers": "4",
         "retries": "2",
@@ -206,62 +209,75 @@ class TestFacadeSurface:
         assert hot.spec_digest != api.table2().spec_digest
 
 
-# module -> [(name, replacement fragment)] for every live deprecation
-# shim.  PR 9 moved CAMMatchCost to the spec layer; PR 10 moved the
-# serving entry points behind the ``api.connect()`` facade.  (The PR 4
-# constant aliases left this table when they were removed — see
-# ``tests/test_spec_consistency.py::test_removed_core_aliases_raise``.)
-DEPRECATED_ALIASES = {
-    "repro.engine.builtins": [
-        ("CAMMatchCost", "repro.spec.costmodel.CAMMatchCost"),
-    ],
-    "repro.serve": [
-        ("KernelServer", "repro.api.connect"),
-        ("serve_jsonl", "repro.api.serve"),
-    ],
-}
+# Shims removed once their replacements had been stable for two
+# releases (the old Table 1 constant aliases are covered by
+# ``tests/test_spec_consistency.py::test_removed_core_aliases_raise``).
+REMOVED_ALIASES = [
+    ("repro.engine.builtins", "CAMMatchCost"),
+    ("repro.serve", "KernelServer"),
+    ("repro.serve", "serve_jsonl"),
+]
 
 
-def _flat_aliases():
-    return [(module, name, fragment)
-            for module, entries in DEPRECATED_ALIASES.items()
-            for name, fragment in entries]
+def _max_wait_us_spellings(tmp_path):
+    """Each public spelling that still accepts ``max_wait_us``, called
+    with a value the old window validation refused."""
+    from repro.__main__ import main
+    from repro.serve.cluster import ClusterServer
+    from repro.serve.server import KernelServer
+
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    add = api.request(kernel="adder", width=8, backend="functional",
+                      operands={"a": [1], "b": [2]})
+
+    def connect():
+        with api.connect(max_wait_us=-1.0) as client:
+            assert client.submit(add).outputs["sum"] == (3,)
+
+    return {
+        "KernelServer(max_wait_us=)": lambda: KernelServer(max_wait_us=-1.0),
+        "ClusterServer(max_wait_us=)":
+            lambda: ClusterServer(max_wait_us=-1.0),
+        "api.connect(max_wait_us=)": connect,
+        "api.serve(max_wait_us=)": lambda: api.serve(
+            input=io.StringIO(""), output=io.StringIO(), max_wait_us=-1.0),
+        "repro serve --max-wait-us": lambda: main(
+            ["serve", "--input", str(empty), "--max-wait-us", "-1"]),
+    }
 
 
 class TestDeprecationPolicy:
-    @pytest.mark.parametrize("module_name,name,fragment", _flat_aliases())
-    def test_alias_warns_once_with_replacement(self, module_name, name,
-                                               fragment):
+    @pytest.mark.parametrize("module_name,name", REMOVED_ALIASES)
+    def test_removed_alias_raises(self, module_name, name):
         import importlib
 
         module = importlib.import_module(module_name)
-        # The warning fires once per process; reset so this test is
-        # order-independent within the suite.
-        _compat._WARNED.discard(f"{module_name}.{name}")
-        with pytest.warns(DeprecationWarning, match=name) as captured:
-            value = getattr(module, name)
-        assert value is not None
-        assert fragment in str(captured[0].message)
-        assert "instead" in str(captured[0].message)
-        # Second access: same value, no second warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert getattr(module, name) == value
+        with pytest.raises(AttributeError):
+            getattr(module, name)
 
-    def test_alias_values_match_canonical(self):
-        """Each shim resolves to the exact object at the replacement
-        path — same identity, not a lookalike."""
-        import repro.serve
-        from repro.engine import builtins as engine_builtins
-        from repro.serve.frontend import serve_jsonl
-        from repro.serve.server import KernelServer
-        from repro.spec.costmodel import CAMMatchCost
-
+    def test_max_wait_us_is_accepted_ignored_and_warned_once(self, tmp_path):
+        """Every public spelling takes the dead knob (even a value the
+        old window refused), forwards nothing, and warns once per
+        process; callers that never pass it never warn."""
+        for spelling, call in _max_wait_us_spellings(tmp_path).items():
+            _compat._WARNED.discard(spelling)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+                call()
+            messages = [str(w.message) for w in caught
+                        if issubclass(w.category, DeprecationWarning)]
+            assert len(messages) == 1, (spelling, messages)
+            assert messages[0].startswith(spelling), messages
+            assert "ignored" in messages[0]
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert engine_builtins.CAMMatchCost is CAMMatchCost
-            assert repro.serve.KernelServer is KernelServer
-            assert repro.serve.serve_jsonl is serve_jsonl
+            warnings.simplefilter("error", DeprecationWarning)
+            from repro.serve.server import KernelServer
+
+            KernelServer()
+            with api.connect():
+                pass
 
     def test_unknown_attribute_still_raises(self):
         import repro.serve

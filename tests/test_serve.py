@@ -99,7 +99,7 @@ class TestRequestProtocol:
 
     def test_result_to_dict_shape(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 return await server.submit(adder_request("r", [1], [2]))
 
         payload = result_to_dict(run(scenario()))
@@ -234,12 +234,12 @@ class TestDigestProperties:
 class TestMalformedRequestsFailAlone:
     """A malformed request is refused on its own, before it is queued:
     it names its own word index, and the valid requests of the same
-    batch window still coalesce and succeed."""
+    batch still coalesce and succeed."""
 
     @staticmethod
     def serve_between_neighbours(bad):
         async def scenario():
-            async with KernelServer(max_wait_us=50_000) as server:
+            async with KernelServer() as server:
                 return await server.submit_many([
                     adder_request("ok1", [1, 2, 3], [10, 20, 30]),
                     bad,
@@ -275,7 +275,7 @@ class TestMalformedRequestsFailAlone:
                                 operands={"a0": (a0,), "a1": (0,), "b": (1,)})
 
         async def scenario():
-            async with KernelServer(max_wait_us=50_000) as server:
+            async with KernelServer() as server:
                 return await server.submit_many(
                     [comparator("ok", 1), comparator("bad", 2)],
                     return_exceptions=True)
@@ -289,7 +289,7 @@ class TestMalformedRequestsFailAlone:
 class TestBatchingAndCache:
     def test_compatible_requests_coalesce_into_one_batch(self):
         async def scenario():
-            async with KernelServer(max_wait_us=50_000) as server:
+            async with KernelServer() as server:
                 return await server.submit_many([
                     adder_request(f"r{i}", [i], [10 + i]) for i in range(6)
                 ])
@@ -303,7 +303,7 @@ class TestBatchingAndCache:
 
     def test_incompatible_requests_split_groups(self):
         async def scenario():
-            async with KernelServer(max_wait_us=50_000) as server:
+            async with KernelServer() as server:
                 return await server.submit_many([
                     adder_request("a", [1], [2], width=8),
                     adder_request("b", [3], [4], width=16),
@@ -317,7 +317,7 @@ class TestBatchingAndCache:
 
     def test_repeat_submission_hits_result_cache(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 first = await server.submit(adder_request("one", [5], [6]))
                 second = await server.submit(adder_request("two", [5], [6]))
                 return first, second
@@ -330,7 +330,7 @@ class TestBatchingAndCache:
 
     def test_cache_capacity_evicts_lru(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0, cache_capacity=1) as server:
+            async with KernelServer(cache_capacity=1) as server:
                 await server.submit(adder_request("a", [1], [1]))
                 await server.submit(adder_request("b", [2], [2]))  # evicts a
                 return await server.submit(adder_request("a2", [1], [1]))
@@ -347,7 +347,7 @@ class TestBatchingAndCache:
             {"memristor.write_energy": 2 * TABLE1.memristor.write_energy})
 
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 functional = await server.submit(
                     adder_request("f", [3], [4], backend="functional"))
                 analytical = await server.submit(
@@ -371,7 +371,7 @@ class TestBatchingAndCache:
 
     def test_per_request_overrides_derive_spec(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 base = await server.submit(adder_request("b", [1], [2]))
                 hot = await server.submit(adder_request(
                     "h", [1], [2],
@@ -385,7 +385,7 @@ class TestBatchingAndCache:
 
     def test_evaluate_requests_return_table2_metrics(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 return await server.submit(ServeRequest(id="e", kind="evaluate"))
 
         result = run(scenario())
@@ -395,13 +395,79 @@ class TestBatchingAndCache:
         assert "math.cim.computing_efficiency" in result.metrics
 
 
+class TestWorkConservingBatching:
+    """The batcher waits for a free worker, never for a timer: requests
+    coalesce because they queued behind busy workers, and a request
+    that finds a worker idle runs at once."""
+
+    def test_requests_queued_behind_a_busy_worker_coalesce(self):
+        started, release = threading.Event(), threading.Event()
+        calls = []
+
+        def gated(request, operands, spec):
+            calls.append(len(operands["a"]))
+            if len(calls) == 1:
+                started.set()
+                release.wait(timeout=10)
+            return run_kernel(resolve_kernel(request.kernel, request.width),
+                              operands or {}, spec=spec)
+
+        n = 5
+
+        async def scenario():
+            async with KernelServer(workers=1, run_batch=gated,
+                                    cache_capacity=0) as server:
+                hold = asyncio.ensure_future(
+                    server.submit(adder_request("hold", [0], [0])))
+                await asyncio.to_thread(started.wait, 10)
+                waiting = []
+                for i in range(n):
+                    waiting.append(asyncio.ensure_future(
+                        server.submit(adder_request(f"r{i}", [i], [i]))))
+                    # One at a time, spaced wider than any batching
+                    # window: only the busy worker can make them meet.
+                    await asyncio.sleep(0.005)
+                release.set()
+                return await hold, await asyncio.gather(*waiting)
+
+        hold, results = run(scenario())
+        assert hold.batch_requests == 1
+        assert [r.batch_requests for r in results] == [n] * n
+        assert [r.outputs["sum"] for r in results] == [
+            (2 * i,) for i in range(n)]
+        assert calls == [1, n]
+
+    def test_lone_request_on_an_idle_server_arms_no_timer(self):
+        timers = []
+
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with KernelServer() as server:
+                call_at = loop.call_at
+
+                def spy(when, callback, *args, **kwargs):
+                    timers.append(callback)
+                    return call_at(when, callback, *args, **kwargs)
+
+                loop.call_at = spy  # call_later and wait_for arm through it
+                try:
+                    return await server.submit(adder_request("solo", [1], [2]))
+                finally:
+                    del loop.call_at
+
+        result = run(scenario())
+        assert result.outputs["sum"] == (3,)
+        assert result.batch_requests == 1
+        assert timers == []
+
+
 class TestQueueFullRejection:
     def test_overload_burst_rejects_without_losing_accepted_work(self):
         async def scenario():
             # Submissions enqueue synchronously before the batcher task
             # gets scheduled, so a burst larger than queue_limit
             # deterministically trips the backpressure bound.
-            async with KernelServer(queue_limit=4, max_wait_us=0) as server:
+            async with KernelServer(queue_limit=4) as server:
                 return await server.submit_many(
                     [adder_request(f"r{i}", [i], [i]) for i in range(10)],
                     return_exceptions=True,
@@ -439,8 +505,7 @@ class TestDeadlines:
 
         async def scenario():
             async with KernelServer(
-                workers=1, max_batch_size=1, max_wait_us=0,
-                run_batch=slow_run_batch,
+                workers=1, max_batch_size=1, run_batch=slow_run_batch,
             ) as server:
                 slow = asyncio.ensure_future(
                     server.submit(adder_request("slow", [1], [2])))
@@ -454,9 +519,61 @@ class TestDeadlines:
         result = run(scenario())
         assert result.outputs["sum"] == (3,)
 
+    def test_answer_landing_with_the_deadline_counts_once(self):
+        """Regression: when the batch's answer and the deadline timer
+        land in the same loop turn, the submitter must see the answer
+        that was counted and recorded, not a second, deadline status."""
+        from repro.obs.flight import FlightRecorder
+        from repro.obs.registry import get_registry
+
+        entered, go, returned = (threading.Event(), threading.Event(),
+                                 threading.Event())
+
+        def gated(request, operands, spec):
+            entered.set()
+            go.wait(timeout=10)
+            try:
+                return run_kernel(
+                    resolve_kernel(request.kernel, request.width),
+                    operands or {}, spec=spec)
+            finally:
+                returned.set()
+
+        family = get_registry().get("serve_requests_total")
+        counters = {s: family.labels(status=s) for s in ("ok", "deadline")}
+        before = {s: c.value for s, c in counters.items()}
+        recorder = FlightRecorder(capacity=8)
+        deadline_s = 0.2
+
+        async def scenario():
+            async with KernelServer(run_batch=gated,
+                                    flight=recorder) as server:
+                start = time.monotonic()
+                task = asyncio.ensure_future(server.submit(adder_request(
+                    "edge", [1], [2], deadline_s=deadline_s)))
+                await asyncio.to_thread(entered.wait, 10)
+                go.set()
+                # Block the loop until the worker has answered and the
+                # deadline has passed, so both land in one loop turn.
+                returned.wait(timeout=10)
+                time.sleep(max(0.0, start + deadline_s + 0.05
+                               - time.monotonic()))
+                return await asyncio.gather(task, return_exceptions=True)
+
+        (outcome,) = run(scenario())
+        (record,) = recorder.for_request("edge")
+        delta = {s: c.value - before[s] for s, c in counters.items()}
+        assert sum(delta.values()) == 1, delta
+        if isinstance(outcome, BaseException):
+            assert isinstance(outcome, DeadlineExceeded)
+            assert record.status == "deadline" and delta["deadline"] == 1
+        else:
+            assert outcome.outputs["sum"] == (3,)
+            assert record.status == "ok" and delta["ok"] == 1
+
     def test_generous_deadline_still_succeeds(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 return await server.submit(
                     adder_request("ok", [2], [3], deadline_s=30.0))
 
@@ -476,7 +593,7 @@ class TestRetries:
 
         async def scenario():
             async with KernelServer(
-                max_wait_us=0, retries=2, backoff_s=0.001, run_batch=flaky,
+                retries=2, backoff_s=0.001, run_batch=flaky,
             ) as server:
                 return await server.submit(adder_request("r", [4], [5]))
 
@@ -492,7 +609,7 @@ class TestRetries:
 
         async def scenario():
             async with KernelServer(
-                max_wait_us=0, retries=2, backoff_s=0.001,
+                retries=2, backoff_s=0.001,
                 run_batch=always_failing,
             ) as server:
                 await server.submit(adder_request("r", [1], [2]))
@@ -511,7 +628,7 @@ class TestRetries:
 
         async def scenario():
             async with KernelServer(
-                max_wait_us=0, retries=5, run_batch=broken,
+                retries=5, run_batch=broken,
             ) as server:
                 await server.submit(adder_request("r", [1], [2]))
 
@@ -528,7 +645,7 @@ class TestDrain:
                               operands or {}, spec=spec)
 
         async def scenario():
-            server = KernelServer(max_wait_us=50_000, workers=2,
+            server = KernelServer(workers=2,
                                   run_batch=slow_run_batch)
             tasks = [
                 asyncio.ensure_future(
@@ -552,7 +669,7 @@ class TestDrain:
 
     def test_context_manager_drains_on_exit(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 result = await server.submit(adder_request("r", [1], [2]))
             assert server._closed
             return result
@@ -574,7 +691,7 @@ class TestJsonlFrontend:
             line if isinstance(line, str) else json.dumps(line)
             for line in lines) + "\n"
         out = io.StringIO()
-        stats = serve_jsonl(io.StringIO(text), out, max_wait_us=1000)
+        stats = serve_jsonl(io.StringIO(text), out)
         records = {r.get("id"): r
                    for r in map(json.loads, out.getvalue().splitlines())}
         assert stats.total == 4
@@ -605,7 +722,7 @@ class TestJsonlFrontend:
                 return ""
 
         out = io.StringIO()
-        stats = serve_jsonl(Input(), out, max_wait_us=1000, metrics_port=0)
+        stats = serve_jsonl(Input(), out, metrics_port=0)
         assert stats.counts["ok"] == 1
         assert json.loads(out.getvalue())["outputs"]["sum"] == [3]
         assert health["status"] == "ok"
@@ -613,7 +730,7 @@ class TestJsonlFrontend:
     def test_server_and_options_are_exclusive(self):
         with pytest.raises(ServeError):
             serve_jsonl(io.StringIO(""), io.StringIO(),
-                        server=KernelServer(), max_wait_us=1)
+                        server=KernelServer(), queue_limit=1)
 
 
 class TestAutoRouting:
@@ -625,7 +742,7 @@ class TestAutoRouting:
         before = counter.value
 
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 return await server.submit(
                     adder_request("r", [1, 2], [3, 4], backend="auto"))
 
@@ -636,7 +753,7 @@ class TestAutoRouting:
 
     def test_auto_large_batch_routes_bitplane(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 words = list(range(100))
                 return await server.submit(
                     adder_request("r", words, words, backend="auto"))
@@ -647,7 +764,7 @@ class TestAutoRouting:
 
     def test_auto_operandless_routes_analytical(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 return await server.submit(ServeRequest(
                     id="p", kernel="adder", width=8, backend="auto"))
 
@@ -661,7 +778,7 @@ class TestAutoRouting:
         resolved backend — including for the result cache."""
 
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 explicit = await server.submit(
                     adder_request("e", [5], [6], backend="functional"))
                 auto = await server.submit(
@@ -679,8 +796,7 @@ class TestAutoRouting:
         engine run exactly."""
 
         async def scenario():
-            async with KernelServer(max_wait_us=50_000,
-                                    cache_capacity=0) as server:
+            async with KernelServer(cache_capacity=0) as server:
                 return await server.submit_many([
                     adder_request("auto", [1, 2, 3], [4, 5, 6],
                                   backend="auto"),
@@ -702,8 +818,7 @@ class TestAutoRouting:
         recorder = FlightRecorder(capacity=8)
 
         async def scenario():
-            async with KernelServer(max_wait_us=0,
-                                    flight=recorder) as server:
+            async with KernelServer(flight=recorder) as server:
                 await server.submit(
                     adder_request("fr", [1], [2], backend="auto"))
 
@@ -721,7 +836,7 @@ class TestAutoRouting:
             "operands": {"a": [1], "b": [2]}, "backend": "quantum",
         }) + "\n"
         out = io.StringIO()
-        stats = serve_jsonl(io.StringIO(text), out, max_wait_us=1000)
+        stats = serve_jsonl(io.StringIO(text), out)
         (record,) = [json.loads(line)
                      for line in out.getvalue().splitlines()]
         assert stats.total == 1
@@ -765,8 +880,7 @@ class TestBatchedEqualsSequential:
         ]
 
         async def scenario():
-            async with KernelServer(max_wait_us=100_000,
-                                    cache_capacity=0) as server:
+            async with KernelServer(cache_capacity=0) as server:
                 return await server.submit_many(requests)
 
         served = run(scenario())
@@ -797,7 +911,7 @@ def test_stats_snapshot_is_consistent_under_concurrency():
     stop = threading.Event()
 
     async def scenario():
-        async with KernelServer(max_wait_us=0, workers=2,
+        async with KernelServer(workers=2,
                                 cache_capacity=capacity) as server:
             def hammer():
                 while not stop.is_set():

@@ -35,7 +35,7 @@ def add_request(request_id, a, b):
 
 class TestConnectTargets:
     def test_local_default_fronts_a_kernel_server(self):
-        with connect("local", max_wait_us=0) as client:
+        with connect("local") as client:
             assert isinstance(client, ServerClient)
             assert isinstance(client.server, KernelServer)
             result = client.submit(add_request("one", 2, 3))
@@ -43,7 +43,7 @@ class TestConnectTargets:
             assert client.stats()["transport"] == "local"
 
     def test_local_upgrades_to_cluster_when_sharded(self):
-        with connect("local", shards=2, quota=8, max_wait_us=0) as client:
+        with connect("local", shards=2, quota=8) as client:
             assert isinstance(client.server, ClusterServer)
             assert client.server.shards == 2
             stats = client.stats()
@@ -51,13 +51,13 @@ class TestConnectTargets:
             assert stats["quota"] == 8
 
     def test_cluster_target_is_always_sharded(self):
-        with connect("cluster", max_wait_us=0) as client:
+        with connect("cluster") as client:
             assert isinstance(client.server, ClusterServer)
             result = client.submit(add_request("c", 10, 20))
             assert result.outputs["sum"] == (30,)
 
     def test_instance_target_wraps_without_options(self):
-        with connect(KernelServer(max_wait_us=0)) as client:
+        with connect(KernelServer()) as client:
             assert client.submit(add_request("i", 1, 1)).outputs["sum"] == (2,)
         with pytest.raises(ServeError, match="not both"):
             connect(KernelServer(), max_batch_size=4)
@@ -69,20 +69,20 @@ class TestConnectTargets:
             connect("grpc")
 
     def test_every_transport_satisfies_the_protocol(self):
-        with connect("local", max_wait_us=0) as local, \
-                connect("jsonl", max_wait_us=0) as jsonl:
+        with connect("local") as local, \
+                connect("jsonl") as jsonl:
             assert isinstance(local, Client)
             assert isinstance(jsonl, Client)
 
     def test_api_connect_is_the_facade_entry_point(self):
-        with api.connect(target="local", max_wait_us=0) as client:
+        with api.connect(target="local") as client:
             assert isinstance(client, Client)
             assert client.submit(add_request("a", 4, 4)).outputs["sum"] == (8,)
 
 
 class TestServerClient:
     def test_submit_many_preserves_order_and_errors(self):
-        with connect("local", max_wait_us=0) as client:
+        with connect("local") as client:
             results = client.submit_many(
                 [add_request(f"r{i}", i, i) for i in range(4)])
             assert [r.id for r in results] == ["r0", "r1", "r2", "r3"]
@@ -96,7 +96,7 @@ class TestServerClient:
             assert isinstance(outcomes[1], EngineError)
 
     def test_close_is_idempotent_and_final(self):
-        client = connect("local", max_wait_us=0)
+        client = connect("local")
         client.close()
         client.close()
         with pytest.raises(ServeError, match="closed"):
@@ -105,7 +105,7 @@ class TestServerClient:
 
 class TestJsonlClient:
     def test_round_trip_restores_caller_id(self):
-        with connect("jsonl", max_wait_us=0) as client:
+        with connect("jsonl") as client:
             assert isinstance(client, JsonlClient)
             result = client.submit(add_request("mine", 7, 8))
             # The wire used a minted id; the caller sees their own.
@@ -118,8 +118,8 @@ class TestJsonlClient:
 
     def test_matches_in_process_answers(self):
         requests = [add_request(f"r{i}", i, 2 * i) for i in range(6)]
-        with connect("jsonl", max_wait_us=0) as wire, \
-                connect("local", max_wait_us=0) as local:
+        with connect("jsonl") as wire, \
+                connect("local") as local:
             over_wire = wire.submit_many(requests)
             in_process = local.submit_many(requests)
         for w, p in zip(over_wire, in_process):
@@ -128,12 +128,12 @@ class TestJsonlClient:
             assert w.energy == p.energy  # json round-trips doubles exactly
 
     def test_clustered_jsonl(self):
-        with connect("jsonl", shards=2, max_wait_us=0) as client:
+        with connect("jsonl", shards=2) as client:
             result = client.submit(add_request("sharded", 3, 9))
             assert result.outputs["sum"] == (12,)
 
     def test_wire_errors_map_to_typed_exceptions(self):
-        with connect("jsonl", max_wait_us=0) as client:
+        with connect("jsonl") as client:
             with pytest.raises(ServeError):
                 client.submit(
                     api.request(id="bad", kernel="no-such-kernel", width=8))
@@ -152,7 +152,7 @@ class TestJsonlClient:
             _result_from_wire({"status": "error", "error": "boom"}, request)
 
     def test_close_drains_then_refuses(self):
-        client = connect("jsonl", max_wait_us=0)
+        client = connect("jsonl")
         client.submit(add_request("pre", 1, 2))
         client.close()
         assert client.stats()["closed"]

@@ -149,8 +149,7 @@ class TestClusterServing:
         requests = [adder_request(f"r{i}", [i], [i + 1]) for i in range(12)]
 
         async def scenario():
-            async with ClusterServer(shards=3, replicas=2,
-                                     max_wait_us=0) as cluster:
+            async with ClusterServer(shards=3, replicas=2) as cluster:
                 return await cluster.submit_many(requests), cluster.stats()
 
         results, stats = run(scenario())
@@ -162,8 +161,7 @@ class TestClusterServing:
 
     def test_shared_cache_spans_shards_and_tenants(self):
         async def scenario():
-            async with ClusterServer(shards=3, replicas=2,
-                                     max_wait_us=0) as cluster:
+            async with ClusterServer(shards=3, replicas=2) as cluster:
                 first = await cluster.submit(
                     adder_request("first", [3], [4], tenant="tenant-a"))
                 repeat = await cluster.submit(
@@ -185,7 +183,7 @@ class TestClusterServing:
         """The ordering contract: auto resolves *before* the cache
         probe, so the resolved twin of an explicit request hits."""
         async def scenario():
-            async with ClusterServer(shards=2, max_wait_us=0) as cluster:
+            async with ClusterServer(shards=2) as cluster:
                 explicit = await cluster.submit(adder_request(
                     "explicit", [5], [6], backend="functional"))
                 auto = await cluster.submit(adder_request(
@@ -206,7 +204,6 @@ class TestClusterServing:
 
         async def scenario():
             async with ClusterServer(shards=1, quota=1, workers=1,
-                                     max_wait_us=0,
                                      run_batch=gated_run_batch) as cluster:
                 hot = asyncio.ensure_future(cluster.submit(adder_request(
                     "hot", [1], [2], tenant="tenant-hot")))
@@ -248,8 +245,7 @@ class TestClusterServing:
 
         async def scenario():
             async with ClusterServer(shards=1, workers=1, max_batch_size=1,
-                                     queue_limit=2, max_wait_us=0,
-                                     cache_capacity=0,
+                                     queue_limit=2, cache_capacity=0,
                                      run_batch=gated_run_batch) as cluster:
                 pending = [asyncio.ensure_future(cluster.submit(r))
                            for r in burst]
@@ -273,7 +269,7 @@ class TestClusterServing:
 
     def test_drain_closes_the_front_door(self):
         async def scenario():
-            cluster = ClusterServer(shards=2, max_wait_us=0)
+            cluster = ClusterServer(shards=2)
             async with cluster:
                 await cluster.submit(adder_request("ok", [1], [1]))
             with pytest.raises(ServeError, match="draining"):
@@ -331,8 +327,7 @@ class TestClusterBillingMatchesSolo:
         ]
 
         async def scenario():
-            async with ClusterServer(shards=2, max_wait_us=100_000,
-                                     cache_capacity=0) as cluster:
+            async with ClusterServer(shards=2, cache_capacity=0) as cluster:
                 return await cluster.submit_many(requests)
 
         served = run(scenario())

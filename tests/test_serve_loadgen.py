@@ -106,7 +106,7 @@ class TestRunLoad:
         profile = LoadProfile(shapes=4, words=2, seed=6)
 
         async def scenario():
-            async with KernelServer(max_wait_us=0) as server:
+            async with KernelServer() as server:
                 first = await run_load(server, profile, count=24)
                 again = await run_load(server, profile, count=24)
                 return first, again

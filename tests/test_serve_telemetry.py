@@ -53,7 +53,7 @@ class TestFlightRecords:
         recorder = FlightRecorder()
 
         async def scenario():
-            async with KernelServer(max_wait_us=0, flight=recorder) as server:
+            async with KernelServer(flight=recorder) as server:
                 return await server.submit(adder_request("r1", [1], [2]))
 
         result = run(scenario())
@@ -71,7 +71,7 @@ class TestFlightRecords:
         recorder = FlightRecorder()
 
         async def scenario():
-            async with KernelServer(max_wait_us=0, flight=recorder) as server:
+            async with KernelServer(flight=recorder) as server:
                 return await server.submit(
                     adder_request("r1", [1], [2], trace_id="cafe" * 8))
 
@@ -91,7 +91,7 @@ class TestFlightRecords:
 
         async def scenario():
             async with KernelServer(workers=1, max_batch_size=1,
-                                    max_wait_us=0, run_batch=slow,
+                                    run_batch=slow,
                                     flight=recorder) as server:
                 blocker = asyncio.ensure_future(
                     server.submit(adder_request("slow", [1], [2])))
@@ -117,8 +117,7 @@ class TestFlightRecords:
             # Submissions enqueue synchronously before the batcher task
             # gets scheduled, so a burst larger than queue_limit
             # deterministically trips the backpressure bound.
-            async with KernelServer(queue_limit=4, max_wait_us=0,
-                                    flight=recorder) as server:
+            async with KernelServer(queue_limit=4, flight=recorder) as server:
                 return await server.submit_many(
                     [adder_request(f"r{i}", [i], [i]) for i in range(10)],
                     return_exceptions=True,
@@ -137,7 +136,7 @@ class TestFlightRecords:
         recorder = FlightRecorder()
 
         async def scenario():
-            async with KernelServer(max_wait_us=0, flight=recorder) as server:
+            async with KernelServer(flight=recorder) as server:
                 await server.submit(adder_request("first", [1], [2]))
                 return await server.submit(adder_request("again", [1], [2]))
 
@@ -158,7 +157,7 @@ class TestFlightRecords:
                               operands or {}, spec=spec)
 
         async def scenario():
-            async with KernelServer(max_wait_us=0, retries=2, backoff_s=0.001,
+            async with KernelServer(retries=2, backoff_s=0.001,
                                     run_batch=flaky, flight=recorder) as server:
                 await server.submit(adder_request("r", [4], [5]))
 
@@ -172,7 +171,7 @@ class TestFlightRecords:
             raise ValueError("wired wrong")
 
         async def scenario():
-            async with KernelServer(max_wait_us=0, run_batch=broken,
+            async with KernelServer(run_batch=broken,
                                     flight=recorder) as server:
                 await server.submit(adder_request("r", [1], [2]))
 
@@ -186,7 +185,7 @@ class TestFlightRecords:
         recorder = FlightRecorder()
 
         async def scenario():
-            async with KernelServer(max_wait_us=0, telemetry=False,
+            async with KernelServer(telemetry=False,
                                     flight=recorder) as server:
                 return await server.submit(adder_request("r", [1], [2]))
 
@@ -202,8 +201,7 @@ class TestTracePropagation:
         tracer.enable()
         try:
             async def scenario():
-                async with KernelServer(max_wait_us=50_000,
-                                        flight=FlightRecorder()) as server:
+                async with KernelServer(flight=FlightRecorder()) as server:
                     await server.submit_many([
                         adder_request(f"r{i}", [i], [i]) for i in range(4)
                     ])
@@ -223,8 +221,7 @@ class TestTracePropagation:
         tracer.enable()
         try:
             async def scenario():
-                async with KernelServer(max_wait_us=0,
-                                        flight=FlightRecorder()) as server:
+                async with KernelServer(flight=FlightRecorder()) as server:
                     return await server.submit(adder_request("rid7", [1], [2]))
 
             result = run(scenario())
@@ -241,8 +238,7 @@ class TestTracePropagation:
 class TestLatencyMetrics:
     def test_live_quantiles_per_kernel(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0,
-                                    flight=FlightRecorder()) as server:
+            async with KernelServer(flight=FlightRecorder()) as server:
                 for i in range(8):
                     await server.submit(adder_request(f"q{i}", [i], [1]))
 
@@ -267,15 +263,14 @@ class TestWireFormat:
                         "trace_id": "beef" * 8}),
         ]) + "\n"
         out = io.StringIO()
-        stats = serve_jsonl(io.StringIO(requests), out, max_wait_us=0)
+        stats = serve_jsonl(io.StringIO(requests), out)
         assert stats.counts == {"ok": 1}
         record = json.loads(out.getvalue())
         assert record["trace_id"] == "beef" * 8
 
     def test_result_to_dict_includes_trace_id(self):
         async def scenario():
-            async with KernelServer(max_wait_us=0,
-                                    flight=FlightRecorder()) as server:
+            async with KernelServer(flight=FlightRecorder()) as server:
                 return await server.submit(adder_request("r", [1], [2]))
 
         result = run(scenario())
