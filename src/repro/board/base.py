@@ -231,6 +231,29 @@ class Board(abc.ABC):
             raise BoardError("conductances must be finite and non-negative")
         return g
 
+    def _check_pulse(self, row: Any, col: Any,
+                     conductance: float) -> Tuple[int, int, float]:
+        """A pulse's cell as plain ints and its target as a float,
+        checked before anything is written.  NumPy integers pass; a bool
+        or a fractional index would address a whole row, no cell or the
+        wrong one, and a target must be finite and non-negative, as
+        :meth:`program` requires."""
+        for index in (row, col):
+            if (isinstance(index, bool)
+                    or not isinstance(index, (int, np.integer))):
+                raise BoardError(f"cell index {index!r} must be an integer")
+        row, col = int(row), int(col)
+        if not (0 <= row < self.rows and 0 <= col < self.cols):
+            raise BoardError(
+                f"cell ({row}, {col}) outside the {self.rows}x{self.cols} board"
+            )
+        if not np.isfinite(conductance) or conductance < 0:
+            raise BoardError(
+                f"pulse target conductance must be finite and >= 0, "
+                f"got {conductance!r}"
+            )
+        return row, col, float(conductance)
+
     def _check_voltages(self, voltages: np.ndarray, batched: bool) -> np.ndarray:
         v = np.asarray(voltages, dtype=float)
         if batched:

@@ -29,7 +29,6 @@ from ..crossbar.solver import (
     _solve,
     solve_ideal_wires,
 )
-from ..errors import BoardError
 from ..spec.techspec import TechSpec
 from .base import Board, LineDrive
 
@@ -77,16 +76,8 @@ class IdealSimBoard(Board):
         self._charge_program()
 
     def pulse(self, row: int, col: int, conductance: float) -> None:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise BoardError(
-                f"cell ({row}, {col}) outside the {self.rows}x{self.cols} board"
-            )
-        if not np.isfinite(conductance) or conductance < 0:
-            raise BoardError(
-                f"pulse target conductance must be finite and >= 0, "
-                f"got {conductance!r}"
-            )
-        self._g[row, col] = float(conductance)
+        row, col, conductance = self._check_pulse(row, col, conductance)
+        self._g[row, col] = conductance
         self._g_row_sums[row] = self._g[row].sum()
         self._g_digest = None
         self._charge_pulse()

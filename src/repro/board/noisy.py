@@ -316,11 +316,8 @@ class NoisyInstrumentBoard(Board):
         self._solver.program(self._g)
 
     def pulse(self, row: int, col: int, conductance: float) -> None:
-        if not (0 <= row < self.rows and 0 <= col < self.cols):
-            raise BoardError(
-                f"cell ({row}, {col}) outside the {self.rows}x{self.cols} board"
-            )
-        target = self._condition(np.full((1, 1), float(conductance)))[0, 0]
+        row, col, conductance = self._check_pulse(row, col, conductance)
+        target = self._condition(np.full((1, 1), conductance))[0, 0]
         g = self._g.copy()
         g[row, col] = target
         g = self._apply_defects(g)

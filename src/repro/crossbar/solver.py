@@ -55,13 +55,25 @@ identity ``x = y - Z·(I + D·UᵀZ)⁻¹·D·Uᵀy`` with ``y = A⁻¹b`` and
 is applied to the right-hand side instead, ``x = A⁻¹(b - U·(I +
 D·UᵀZ)⁻¹·D·Zᵀb)``: a read is one base solve plus a product over the
 few rows of ``Z`` where ``b`` is nonzero, not a pass over all of ``Z``.
-The base memoises its ``A⁻¹u`` columns per junction, so each further
-write costs one single-column solve, not a factorization.
+
+The write path's contract is one sparse solve per cached structure per
+write.  The base memoises, per junction, ``z = A⁻¹u`` together with the
+projections every later derived entry needs (its row of ``ZᵀB`` and its
+column-line functional, see :class:`_Columns`), so a write to a new
+cell costs one single-column solve; the capacitance matrix and the
+transfer-matrix move are then k-sized work on memoised rows, and the
+port-response move one ``Z·M`` product, with no n-length gather or
+copy of ``Z``.
 Derived entries never serve as bases, so error cannot compound along a
 chain of writes; past the cap (or when the small capacitance matrix
 ``I + D·UᵀZ`` says the update would amplify rounding, see
 :data:`_UPDATE_GROWTH_MAX`) the system is factored afresh and becomes
-the next base.  Cache traffic is observable through the
+the next base.  That fresh base inherits the served/answered counts of
+the bases within ``2·LOW_RANK_MAX`` junctions of it, so a family that
+had a transfer matrix or port response builds it again at its first
+read instead of answering cold until the counts catch up; a
+reprogrammed array, farther from every base, starts cold.  Cache
+traffic is observable through the
 ``crossbar_factorization_cache_total{result=hit|update|miss}``
 counter: ``miss`` counts real factorizations only, ``update`` derived
 entries.
@@ -79,10 +91,11 @@ symmetric), one right-hand side per column line.
 the real entry's ``T`` once that count reaches the number of column
 lines, the adjoint build's break-even, so a one-off read never pays
 for it.  A derived entry moves its base's ``T`` through the Woodbury
-identity on first use, in O(nnz·k), and keeps the result (see
-:func:`_retarget`).  Junctions with both nodes pinned never reach the
-update's ``Z`` (no reduced matrix sees them) but still change ``L``, so
-they add ``δ`` at their pinned columns directly.  Every entry point
+identity on first use, from its base's memoised projections alone
+(k-sized work), and keeps the result (see :func:`_retarget`).
+Junctions with both nodes pinned never reach the update's ``Z`` (no
+reduced matrix sees them) but still change ``L``, so they add ``δ`` at
+their pinned columns directly.  Every entry point
 answers from its entry's state *at call start*: from ``T`` if the
 family has one, else from junction sums.  Full solutions for the
 entry's own conductances then also take ``col_currents`` from ``T``,
@@ -148,9 +161,9 @@ import math
 import operator
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -395,16 +408,17 @@ class _Factorization:
     (None when drivers are resistive, i.e. stamped into the matrix);
     ``position`` maps every node to its reduced index (-1 = pinned).
     A *real* entry keeps the conductances it factored (``g``) and
-    memoises ``A⁻¹u`` per junction cell (``columns``) for the derived
-    entries built on it; a derived entry has ``g=None``, points at that
-    real entry (``base``) and is never used as a base itself.  The real
-    entry also counts, for its whole family, the columns the
+    memoises ``A⁻¹u`` and its projections per junction cell
+    (``columns``, a :class:`_Columns`) for the derived entries built on
+    it; a derived entry has ``g=None`` and ``columns=None``, points at
+    that real entry (``base``) and is never used as a base itself.  The
+    real entry also counts, for its whole family, the columns the
     terminal-current verb answered (``served``) and the drive columns
     the full-solution entry points answered (``answered``).
     ``transfer`` and ``response`` are the entry's transfer matrix and
     port response once its family has them; a derived entry moves its
     base's through ``change``, the ``(pinned, update)`` pair that
-    :func:`_derive` computed (see :func:`_retarget`).
+    :func:`_derive` computed (see :func:`_retarget` and :class:`_Update`).
     """
 
     backend: str
@@ -418,14 +432,13 @@ class _Factorization:
     a_up: object
     solve: Callable[[np.ndarray], np.ndarray]
     g: Optional[np.ndarray] = None
-    columns: Dict[int, np.ndarray] = field(default_factory=dict)
+    columns: Optional["_Columns"] = None
     base: Optional["_Factorization"] = None
     served: int = 0
     answered: int = 0
     transfer: Optional[np.ndarray] = None
     response: Optional[np.ndarray] = None
-    change: Optional[Tuple[Tuple[np.ndarray, ...],
-                           Optional[Tuple[np.ndarray, ...]]]] = None
+    change: Optional[Tuple[Tuple[np.ndarray, ...], Optional["_Update"]]] = None
 
     def family(self, name: str) -> Optional[np.ndarray]:
         """This entry's ``transfer`` or ``response`` (*name*) if its
@@ -707,7 +720,7 @@ def _build_factorization(
         # (unknown-only) index space, preserving ND order.
         nd_positions = position[_grid_nd_order(rows, cols)]
         perm = nd_positions[nd_positions >= 0]
-    return _Factorization(
+    fact = _Factorization(
         backend=backend,
         n_nodes=n,
         unknown=unknown,
@@ -720,6 +733,8 @@ def _build_factorization(
         solve=_make_solve(a_red, backend, perm),
         g=g.copy(),
     )
+    fact.columns = _Columns(fact)
+    return fact
 
 
 def _ports(fact: _Factorization, cells: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -781,28 +796,108 @@ class _Stamped:
         return out
 
 
+class _Columns:
+    """A real entry's memo, per junction cell, of ``z = A⁻¹u`` and the
+    two projections of it that every derived entry built on the entry
+    needs: its row of ``ZᵀB`` (``-a_upᵀz``, ``B = -a_up``) and its
+    column-line functional ``L_u·z`` (see :func:`_line_coefficients`).
+
+    Rows sit in slot order in blocks of ``2·LOW_RANK_MAX``, the memo's
+    bound.  A written row never changes and a full memo is replaced, not
+    overwritten, so derived entries keep plain views of the rows they
+    use.  Filled under :data:`_CACHE_LOCK`.
+    """
+
+    def __init__(self, fact: _Factorization) -> None:
+        size = 2 * LOW_RANK_MAX
+        self.slot: Dict[int, int] = {}
+        self.z = np.empty((size, fact.unknown.size))
+        self.z_b = np.empty((size, fact.pinned.size))
+        self.l_z = np.empty((size, fact.g.shape[1]))
+        # B's transpose, formed once: SciPy re-forms it on every ``.T``.
+        self.b_t = None if fact.a_up is None else -fact.a_up.T
+
+    def __len__(self) -> int:
+        return len(self.slot)
+
+    def items(self) -> List[Tuple[int, np.ndarray]]:
+        """``(cell, A⁻¹u)`` per memoised junction, in slot order."""
+        return [(cell, self.z[slot]) for cell, slot in self.slot.items()]
+
+    def row(self, cell: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        slot = self.slot[cell]
+        return self.z[slot], self.z_b[slot], self.l_z[slot]
+
+    def add(self, cell: int, row: Tuple[np.ndarray, ...]) -> None:
+        slot = len(self.slot)
+        self.z[slot], self.z_b[slot], self.l_z[slot] = row
+        self.slot[cell] = slot
+
+
 def _base_columns(
     base: _Factorization, cells: np.ndarray, pi: np.ndarray, pj: np.ndarray
-) -> np.ndarray:
-    """``Z = A⁻¹U`` for *cells* from *base*'s memo; the missing columns
-    go through the factorization as one multi-RHS block.  The memo
-    keeps contiguous copies, so stacking them is one block copy rather
-    than a gather of strided column views."""
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(order, Z, ZᵀB, L_u·Z)`` for *cells* from *base*'s memo: the
+    blocks hold one row per junction, in memo slot order, and *order*
+    sorts *cells* into it.  Only the junctions new to the memo go
+    through the factorization (as one multi-RHS block), so a write costs
+    one ``A⁻¹u`` solve per base.  While the junctions hold the memo's
+    first slots — every write since the base was to a new cell — the
+    blocks are views, and no n-length row is copied."""
+    keys = cells.tolist()
     with _CACHE_LOCK:
-        memo = [base.columns.get(int(cell)) for cell in cells]
-    missing = [k for k, column in enumerate(memo) if column is None]
+        memo = base.columns
+        rows = {cell: memo.row(cell) for cell in keys if cell in memo.slot}
+    missing = [k for k, cell in enumerate(keys) if cell not in rows]
     if missing:
-        solved = base.solve(
-            _u_columns(pi[missing], pj[missing], base.unknown.size))
-        with _CACHE_LOCK:
-            for n, k in enumerate(missing):
-                memo[k] = base.columns.setdefault(
-                    int(cells[k]), np.ascontiguousarray(solved[:, n]))
-            if len(base.columns) > 2 * LOW_RANK_MAX:
-                # Bound the memo: keep only the columns this update uses.
-                base.columns.clear()
-                base.columns.update(zip(cells.tolist(), memo))
-    return np.array(memo).T
+        z = base.solve(_u_columns(pi[missing], pj[missing], base.unknown.size))
+        if not np.isfinite(z).all():
+            raise CrossbarError("singular crossbar system")
+        x = np.zeros((base.n_nodes, len(missing)))
+        x[base.unknown] = z
+        lines = base.g.shape[1]
+        l_z = (_line_coefficients(base)[:, None] * x).reshape(
+            -1, lines, len(missing)).sum(axis=0)
+        z_b = (np.empty((0, len(missing))) if memo.b_t is None
+               else memo.b_t @ z)
+        for n, k in enumerate(missing):
+            rows[keys[k]] = (z[:, n], z_b[:, n], l_z[:, n])
+    with _CACHE_LOCK:
+        memo = base.columns
+        absent = [cell for cell in keys if cell not in memo.slot]
+        if len(memo) + len(absent) > len(memo.z):
+            # Full: a fresh memo holds just this update's junctions.
+            base.columns = memo = _Columns(base)
+            absent = keys
+        for cell in absent:
+            memo.add(cell, rows[cell])
+        slots = np.array([memo.slot[cell] for cell in keys])
+        order = np.argsort(slots)
+        pick = slots[order]
+        if pick[-1] == pick.size - 1:
+            pick = slice(0, pick.size)
+        return order, memo.z[pick], memo.z_b[pick], memo.l_z[pick]
+
+
+class _Update(NamedTuple):
+    """A derived entry's Woodbury terms for the changed junctions that a
+    reduced matrix sees, one per junction in its base memo's slot order:
+    column ``line``, conductance change ``d``, reduced ports ``pi``/``pj``
+    and pinned-block ports ``qi``/``qj`` (-1 = none), the memo rows ``z``
+    (``Zᵀ``, one ``A⁻¹u`` per row), ``z_b`` (``ZᵀB``) and ``l_z``
+    (``(L_u·Z)ᵀ``), ``u_z = UᵀZ`` and ``gain = (I + D·UᵀZ)⁻¹·D``."""
+
+    line: np.ndarray
+    d: np.ndarray
+    pi: np.ndarray
+    pj: np.ndarray
+    qi: np.ndarray
+    qj: np.ndarray
+    z: np.ndarray
+    z_b: np.ndarray
+    l_z: np.ndarray
+    u_z: np.ndarray
+    gain: np.ndarray
 
 
 def _derive(
@@ -825,15 +920,15 @@ def _derive(
     cells, d, pi, pj, qi, qj, lines = (
         a[free] for a in (cells, d, pi, pj, qi, qj, lines))
     if not cells.size:
-        return replace(base, g=None, columns={}, base=base, transfer=None,
+        return replace(base, g=None, columns=None, base=base, transfer=None,
                        response=None, change=(pinned, None))
     try:
-        z = _base_columns(base, cells, pi, pj)
+        order, z, z_b, l_z = _base_columns(base, cells, pi, pj)
     except CrossbarError:
         return None  # a singular base (the dense backend solves lazily)
-    if not np.isfinite(z).all():
-        return None
-    capacitance = np.eye(cells.size) + d[:, None] * _u_dot(z, pi, pj)
+    d, pi, pj, qi, qj, lines = (a[order] for a in (d, pi, pj, qi, qj, lines))
+    u_z = _u_dot(z.T, pi, pj)
+    capacitance = np.eye(d.size) + d[:, None] * u_z
     sigma = np.linalg.svd(capacitance, compute_uv=False)
     if sigma[0] + 1.0 > _UPDATE_GROWTH_MAX * sigma[-1]:
         return None
@@ -850,7 +945,7 @@ def _derive(
         magnitude = np.abs(np.reshape(b, (len(b), -1)))
         support = np.flatnonzero(magnitude @ np.ones(magnitude.shape[1]))
         b = np.array(b, dtype=float)
-        _u_add(b, -(gain @ (z[support].T @ b[support])), pi, pj)
+        _u_add(b, -(gain @ (z[:, support] @ b[support])), pi, pj)
         return base.solve(b)
 
     a_up = base.a_up
@@ -861,8 +956,9 @@ def _derive(
         a_up = _Stamped(a_up, (pi, pj), (qi, qj), d)
     return replace(
         base, a_red=_Stamped(base.a_red, (pi, pj), (pi, pj), d), a_up=a_up,
-        solve=solve, g=None, columns={}, base=base, transfer=None,
-        response=None, change=(pinned, (lines, d, pi, pj, qi, qj, z, gain)),
+        solve=solve, g=None, columns=None, base=base, transfer=None,
+        response=None, change=(pinned, _Update(lines, d, pi, pj, qi, qj, z,
+                                               z_b, l_z, u_z, gain)),
     )
 
 
@@ -898,30 +994,25 @@ def _build_transfer(fact: _Factorization) -> np.ndarray:
     return transfer
 
 
-def _port_update(
-    base: _Factorization, update: Tuple[np.ndarray, ...]
-) -> Tuple[np.ndarray, ...]:
+def _port_update(base: _Factorization, update: _Update
+                 ) -> Tuple[np.ndarray, np.ndarray]:
     """The Woodbury terms a derived entry's port maps share.
 
-    *update* holds ``(line, δ, pi, pj, qi, qj, Z, gain)`` of the changed
-    junctions that a reduced matrix sees, with ``gain = (I +
-    D·UᵀZ)⁻¹·D``.  The write moves ``A`` by ``U·D·Uᵀ`` and ``B = -a_up``
-    by ``-U·D·Qᵀ`` (``Q`` the junctions' pinned ports), so with ``ZᵀB =
-    UᵀR`` by symmetry the port response moves as ``R' = R - Z·M``,
+    The write moves ``A`` by ``U·D·Uᵀ`` and ``B = -a_up`` by ``-U·D·Qᵀ``
+    (``Q`` the junctions' pinned ports), so with ``ZᵀB = UᵀR`` by
+    symmetry the port response moves as ``R' = R - Z·M``,
 
         M = D·Qᵀ + gain·(ZᵀB - UᵀZ·D·Qᵀ).
 
-    Returns ``(Qᵀ, ZᵀB, UᵀZ, M)``.
+    Every factor is k-sized (*update* carries ``ZᵀB`` and ``UᵀZ``).
+    Returns ``(Qᵀ, M)``.
     """
-    _, d, pi, pj, qi, qj, z, gain = update
-    q_t = np.zeros((d.size, base.pinned.size))
-    for ports, sign in ((qi, 1.0), (qj, -1.0)):
+    q_t = np.zeros((update.d.size, base.pinned.size))
+    for ports, sign in ((update.qi, 1.0), (update.qj, -1.0)):
         hit = np.flatnonzero(ports >= 0)
         q_t[hit, ports[hit]] = sign
-    z_b = -(base.a_up.T @ z).T
-    u_z = _u_dot(z, pi, pj)
-    d_q = d[:, None] * q_t
-    return q_t, z_b, u_z, d_q + gain @ (z_b - u_z @ d_q)
+    d_q = update.d[:, None] * q_t
+    return q_t, d_q + update.gain @ (update.z_b - update.u_z @ d_q)
 
 
 def _retarget(base: _Factorization, change: Tuple, transfer: np.ndarray
@@ -932,7 +1023,8 @@ def _retarget(base: _Factorization, change: Tuple, transfer: np.ndarray
     ``(line, δ, qi, qj)`` of the changed junctions with both nodes
     pinned: they move only their column's current, by ``δ`` at their
     pinned driver columns.  For the others (*update*, see
-    :func:`_port_update`) Woodbury gives, in O(nnz·k),
+    :func:`_port_update`) Woodbury gives, from the base memo's
+    projections alone (no n-length work),
 
         T' = T + S·D·(ZᵀB + Qᵀ) - (L_u·Z + S·D·UᵀZ)·M,
 
@@ -945,16 +1037,12 @@ def _retarget(base: _Factorization, change: Tuple, transfer: np.ndarray
         np.add.at(transfer, (line, ports), sign * d)
     if update is None:
         return transfer
-    line, d, _, _, _, _, z, _ = update
-    q_t, z_b, u_z, m = _port_update(base, update)
-    k = d.size
+    q_t, m = _port_update(base, update)
+    k = update.d.size
     s_d = np.zeros((transfer.shape[0], k))
-    s_d[line, np.arange(k)] = d
-    x = np.zeros((base.n_nodes, k))
-    x[base.unknown] = z
-    l_z = (_line_coefficients(base)[:, None] * x).reshape(
-        -1, transfer.shape[0], k).sum(axis=0)
-    transfer += s_d @ (z_b + q_t) - (l_z + s_d @ u_z) @ m
+    s_d[update.line, np.arange(k)] = update.d
+    transfer += (s_d @ (update.z_b + q_t)
+                 - (update.l_z.T + s_d @ update.u_z) @ m)
     return transfer
 
 
@@ -966,8 +1054,14 @@ def _respond(base: _Factorization, change: Tuple, response: np.ndarray
     update = change[1]
     if update is None:
         return response
+    shift = update.z.T @ _port_update(base, update)[1]
     moved = response.copy()
-    moved[base.unknown] -= update[6] @ _port_update(base, update)[3]
+    # The unknowns are every node but the few pinned ones, so subtract
+    # run by run rather than scatter through an n-length index.
+    start = 0
+    for skipped, stop in enumerate(base.pinned.tolist() + [base.n_nodes]):
+        moved[start:stop] -= shift[start - skipped:stop - skipped]
+        start = stop + 1
     return moved
 
 
@@ -1017,9 +1111,14 @@ def _get_factorization(
                  if f.g is not None and k[:-1] == structure]
     # Nearest real factorization of the same structure, by changed cells.
     base_key, base, cells = None, None, None
+    served = answered = 0
     flat = g.ravel()
     for k, candidate in bases:
         changed = np.flatnonzero(candidate.g.ravel() != flat)
+        if changed.size <= 2 * LOW_RANK_MAX:
+            # A base this close is one the new state was written from.
+            served = max(served, candidate.served)
+            answered = max(answered, candidate.answered)
         if changed.size <= LOW_RANK_MAX and (
                 cells is None or changed.size < cells.size):
             base_key, base, cells = k, candidate, changed
@@ -1029,6 +1128,11 @@ def _get_factorization(
         fact = _build_factorization(
             g, row_idx, col_idx, wire_resistance, driver_resistance, backend
         )
+        # A re-based family stays hot: the fresh base inherits the
+        # counts of the bases it replaces, so its first read builds the
+        # T or R they had instead of answering cold until it has served
+        # as many columns again.  A reprogrammed array starts cold.
+        fact.served, fact.answered = served, answered
     else:
         _CACHE_UPDATE.inc()
     with _CACHE_LOCK:

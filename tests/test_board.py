@@ -152,6 +152,45 @@ class TestIdealBoard:
         with pytest.raises(BoardError, match="finite"):
             board.pulse(0, 0, float("nan"))
 
+    @pytest.mark.parametrize("row, col, target, why", [
+        (True, 0, 5e-4, "integer"), (1, False, 5e-4, "integer"),
+        (np.True_, 1, 5e-4, "integer"), (1.5, 0, 5e-4, "integer"),
+        (0, 2.0, 5e-4, "integer"), ("1", 0, 5e-4, "integer"),
+        (1, 1, float("nan"), "finite"), (1, 1, float("inf"), "finite"),
+        (1, 1, -1e-4, "finite")])
+    @pytest.mark.parametrize("kind", ["ideal", "noisy"])
+    def test_refused_pulse_changes_nothing(self, kind, row, col, target, why):
+        """A bool once rewrote a whole row (or nothing), a float raised a
+        bare IndexError, and the noisy board kept a NaN target and its
+        endurance cycle; now each is refused before the array, the
+        stats or the digest memo change."""
+        board = (IdealSimBoard(4, 4) if kind == "ideal"
+                 else NoisyInstrumentBoard(4, 4, seed=0))
+        board.program(_conductances())
+        board.column_currents(np.full(4, 0.1), wire_resistance=1.0)
+        inner = getattr(board, "_solver", board)
+        g, stats = board.read_conductances(), board.stats.as_dict()
+        cycles = getattr(board, "_cycles", np.zeros(1)).copy()
+        digest = inner._g_digest
+        assert digest is not None
+        with pytest.raises(BoardError, match=why):
+            board.pulse(row, col, target)
+        assert np.array_equal(board.read_conductances(), g)
+        assert board.stats.as_dict() == stats
+        assert np.array_equal(getattr(board, "_cycles", np.zeros(1)), cycles)
+        assert inner._g_digest is digest
+
+    @pytest.mark.parametrize("kind", ["ideal", "noisy"])
+    def test_pulse_accepts_numpy_integer_cells(self, kind):
+        board = (IdealSimBoard(4, 4) if kind == "ideal"
+                 else NoisyInstrumentBoard(4, 4, seed=0))
+        board.program(_conductances())
+        g = board.read_conductances()
+        board.pulse(np.int64(1), np.int32(2), 5e-4)
+        changed = np.argwhere(board.read_conductances() != g)
+        assert changed.tolist() == [[1, 2]]
+        assert board.stats.pulses == 1
+
     def test_stats_count_operations(self):
         board = IdealSimBoard(4, 4)
         board.program(_conductances())

@@ -1080,3 +1080,141 @@ class TestPortResponse:
         assert _RESPONSE_BUILD.value == builds + 1
         (base,) = [f for f in _FACTOR_CACHE.values() if f.g is not None]
         assert base.answered == 1 + 6 * 2 * len(writes)
+
+
+class TestWritePath:
+    """A single-cell write costs one ``A⁻¹u`` column per cached
+    structure, and a family keeps its ``T`` and ``R`` across a
+    re-base."""
+
+    READ = ({0: 0.2}, {0: 0.0})   # the Fig. 3 read: two pinned drivers
+    VARIANT = [(0, 0, 1e-6)]      # both nodes pinned: no extra solve
+
+    def setup_method(self):
+        clear_factorization_cache()
+
+    def _board(self, n, seed):
+        rng = np.random.default_rng(seed)
+        board = IdealSimBoard(n, n)
+        board.program(np.where(rng.random((n, n)) < 0.5, 1e-4, 1e-6))
+        return board, rng.uniform(0.0, 0.2, (n, n))
+
+    def _read(self, board, volts, backend):
+        currents = board.column_currents_many(volts, wire_resistance=2.0,
+                                              backend=backend)
+        base, variants = board.read_iv_variants(
+            *self.READ, self.VARIANT, wire_resistance=2.0, backend=backend)
+        return currents, base, variants[0]
+
+    def _assert_cold(self, board, got, volts, backend):
+        """*got* matches cold solves of the board's state; the cache is
+        left as it was."""
+        g = board.read_conductances()
+        saved = list(_FACTOR_CACHE.items())
+        clear_factorization_cache()
+        try:
+            grounded = {c: 0.0 for c in range(g.shape[1])}
+            cold = np.stack([s.col_currents for s in
+                             solve_many_with_wire_resistance(
+                                 g, [({r: float(v) for r, v in enumerate(row)},
+                                      grounded) for row in volts],
+                                 wire_resistance=2.0, backend=backend)])
+            base, (variant,) = solve_junction_variants(
+                g, *self.READ, self.VARIANT, wire_resistance=2.0,
+                backend=backend)
+        finally:
+            clear_factorization_cache()
+            _FACTOR_CACHE.update(saved)
+        for a, b in ((got[0], cold),
+                     (got[1].row_currents, base.row_currents),
+                     (got[1].col_currents, base.col_currents),
+                     (got[2].row_currents, variant.row_currents),
+                     (got[2].col_currents, variant.col_currents)):
+            assert np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+    @staticmethod
+    def _flip(board, row, col):
+        g = board.read_conductances()[row, col]
+        board.pulse(row, col, 1e-4 if g < 1e-5 else 1e-6)
+
+    def test_rebased_family_stays_hot(self):
+        board, volts = self._board(8, 21)
+        for _ in range(3):  # both families build: T, then R
+            self._read(board, volts, "auto")
+        assert all(f.transfer is not None or f.response is not None
+                   for f in _FACTOR_CACHE.values())
+        cells = 1 + np.random.default_rng(4).choice(
+            board.rows * board.cols - 1, LOW_RANK_MAX + 1, replace=False)
+        for n, cell in enumerate(cells):
+            misses = _CACHE_MISS.value
+            builds = _TRANSFER_BUILD.value, _RESPONSE_BUILD.value
+            self._flip(board, *divmod(int(cell), board.cols))
+            got = self._read(board, volts[:2], "auto")
+            t_built = _TRANSFER_BUILD.value - builds[0]
+            r_built = _RESPONSE_BUILD.value - builds[1]
+            # The all-driven family re-bases on the last write (the
+            # two-driver one also whenever its growth bound trips), and
+            # every fresh base builds its map at its first read instead
+            # of answering cold.
+            assert t_built == (n == LOW_RANK_MAX)
+            assert _CACHE_MISS.value - misses == t_built + r_built
+            self._assert_cold(board, got, volts[:2], "auto")
+        (fresh,) = [f for f in _FACTOR_CACHE.values()
+                    if f.g is not None and f.pinned.size == 2 * board.rows
+                    and np.array_equal(f.g, board.read_conductances())]
+        assert fresh.transfer is not None
+
+    def test_reprogrammed_array_starts_cold(self):
+        """Only a base within 2·LOW_RANK_MAX junctions passes its counts
+        on: an array reprogrammed in more cells is a new family."""
+        board, volts = self._board(10, 25)
+        board.column_currents_many(volts, wire_resistance=2.0)
+        builds, misses = _TRANSFER_BUILD.value, _CACHE_MISS.value
+        g = board.read_conductances()
+        board.program(np.where(g < 1e-5, 1e-4, 1e-6))  # every cell moves
+        board.column_currents_many(volts[:2], wire_resistance=2.0)
+        assert _CACHE_MISS.value == misses + 1
+        assert _TRANSFER_BUILD.value == builds
+
+    @pytest.mark.parametrize("backend", [
+        pytest.param("sparse", marks=needs_scipy), "dense"])
+    def test_one_solve_per_structure_per_write(self, backend, monkeypatch):
+        import repro.crossbar.solver as solver
+
+        board, volts = self._board(9, 23)
+        log, spying = [], [False]
+        build = solver._build_factorization
+
+        def spied(*args):
+            fact = build(*args)
+            solve = fact.solve
+
+            def counted(b):
+                if spying[0]:
+                    log.append((fact.pinned.size, np.shape(b)[1:] or (1,)))
+                return solve(b)
+
+            fact.solve = counted
+            return fact
+
+        monkeypatch.setattr(solver, "_build_factorization", spied)
+        for _ in range(3):
+            self._read(board, volts, backend)
+        # Fresh a, fresh b, a back, b back: each state is one write from
+        # the last, the changed set stays small and the memos keep
+        # growing past their bound; writing back needs no new column.
+        cells = 1 + np.random.default_rng(6).permutation(
+            board.rows * board.cols - 1)[:2 * LOW_RANK_MAX + 4]
+        one_each = sorted([(board.rows + board.cols, (1,)), (2, (1,))])
+        for a, b in cells.reshape(-1, 2):
+            for cell, fresh in ((a, True), (b, True), (a, False),
+                                (b, False)):
+                del log[:]
+                spying[0] = True
+                self._flip(board, *divmod(int(cell), board.cols))
+                got = self._read(board, volts, backend)
+                spying[0] = False
+                assert sorted(log) == (one_each if fresh else [])
+                assert all(len(f.columns) <= 2 * LOW_RANK_MAX
+                           for f in _FACTOR_CACHE.values() if f.g is not None)
+                self._assert_cold(board, got, volts, backend)
