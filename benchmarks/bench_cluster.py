@@ -194,7 +194,8 @@ def test_bench_cluster_billing_matches_solo(benchmark):
     # into per-word shares, which costs at most an ulp).
     for via_cluster, alone in zip(clustered, solo):
         assert via_cluster.id == alone.id
-        assert via_cluster.outputs == alone.outputs
+        assert ({k: v.tolist() for k, v in via_cluster.outputs.items()}
+                == {k: v.tolist() for k, v in alone.outputs.items()})
         assert via_cluster.energy == pytest.approx(alone.energy, rel=1e-12), (
             f"billing drift on {via_cluster.id}")
         assert via_cluster.latency == alone.latency

@@ -193,7 +193,7 @@ def test_bench_telemetry_overhead(benchmark):
     assert len(recorder) == REQUESTS
     assert all(rec.status == "ok" for rec in recorder.last())
     for a, b in zip(baseline_results, instrumented):
-        assert a.outputs["sum"] == b.outputs["sum"]
+        assert np.array_equal(a.outputs["sum"], b.outputs["sum"])
 
     rows = [[name, f"{seconds * 1e6:.2f} us", "-"]
             for name, seconds in parts.items()]

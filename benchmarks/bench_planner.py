@@ -139,7 +139,7 @@ def test_bench_auto_routing_throughput(benchmark):
     for routed, baseline in zip(auto_results, fixed_results):
         assert routed.backend == "functional_bitplane"
         assert baseline.backend == "functional"
-        assert routed.outputs["sum"] == baseline.outputs["sum"]
+        assert np.array_equal(routed.outputs["sum"], baseline.outputs["sum"])
     assert auto_s <= fixed_s, (
         f"auto routing slower than fixed backend: {auto_s:.4f}s vs "
         f"{fixed_s:.4f}s")

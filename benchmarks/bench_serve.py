@@ -98,8 +98,7 @@ def test_bench_batched_throughput_vs_sequential(benchmark):
 
     # Bit-identical outputs, request by request.
     for served, alone in zip(batched, sequential):
-        assert served.outputs["sum"] == tuple(
-            int(w) for w in alone.word("sum"))
+        assert served.outputs["sum"].tolist() == alone.word("sum").tolist()
     for served in results:
         assert served.batch_requests >= 1
     assert max(sizes) == BATCH_WINDOW, (
@@ -150,8 +149,8 @@ def test_bench_overload_burst_rejects_cleanly(benchmark):
     assert len(served) + len(rejected) == len(burst)
     for result in served:
         i = int(result.id[1:])
-        assert result.outputs["sum"] == (2 * i,), "accepted request lost/corrupted"
-    assert followup.outputs["sum"] == (42,), "server unusable after burst"
+        assert result.outputs["sum"].tolist() == [2 * i], "accepted request lost/corrupted"
+    assert followup.outputs["sum"].tolist() == [42], "server unusable after burst"
 
 
 def test_bench_slo_p99_under_burst(benchmark):

@@ -472,10 +472,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the async batched JSONL serving loop until input EOF."""
-    from ._compat import ignored_option
     from .serve.frontend import serve_jsonl
-
-    ignored_option("repro serve --max-wait-us", args.max_wait_us)
 
     in_stream = sys.stdin
     if args.input:
@@ -659,9 +656,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "ServerOverloaded (default: unlimited)")
     serve.add_argument("--max-batch-size", type=int, default=64,
                        help="requests coalesced per batch (default 64)")
-    serve.add_argument("--max-wait-us", type=float, default=None,
-                       help="deprecated and ignored: the batcher has no "
-                            "timer window")
     serve.add_argument("--queue-limit", type=int, default=1024,
                        help="bounded queue size; beyond it requests are "
                             "rejected with ServerOverloaded (default 1024)")

@@ -310,7 +310,6 @@ def serve(
     replicas: int = 1,
     quota: Optional[int] = None,
     max_batch_size: int = 64,
-    max_wait_us: Optional[float] = None,
     queue_limit: int = 1024,
     workers: int = 4,
     retries: int = 2,
@@ -330,14 +329,10 @@ def serve(
     routing, shared result cache, per-tenant quotas) instead of a
     single server.  With ``metrics_port`` a live telemetry endpoint
     (``/metrics`` + ``/healthz`` + ``/flight``) runs alongside for the
-    duration (``0`` = any free port).  ``max_wait_us`` is a deprecated
-    no-op (the batcher has no timer window).  Returns the
+    duration (``0`` = any free port).  Returns the
     :class:`~repro.serve.ServeStats` status tally.
     """
-    from ._compat import ignored_option
     from .serve.frontend import serve_jsonl
-
-    ignored_option("api.serve(max_wait_us=)", max_wait_us)
 
     return serve_jsonl(
         input if input is not None else sys.stdin,
@@ -396,7 +391,6 @@ def connect(
     replicas: int = 1,
     quota: Optional[int] = None,
     max_batch_size: int = 64,
-    max_wait_us: Optional[float] = None,
     queue_limit: int = 1024,
     workers: int = 4,
     retries: int = 2,
@@ -416,15 +410,12 @@ def connect(
     any is non-default); the remaining knobs mirror the server
     constructor.  The returned client is a context manager exposing
     ``submit`` / ``submit_many`` / ``stats`` / ``close``; pair it with
-    :func:`request` to build submissions.  ``max_wait_us`` is a
-    deprecated no-op (the batcher has no timer window).
+    :func:`request` to build submissions.
     """
-    from ._compat import ignored_option
     from .serve.client import connect as _connect
     from .serve.cluster import ClusterServer
     from .serve.server import KernelServer
 
-    ignored_option("api.connect(max_wait_us=)", max_wait_us)
     if isinstance(target, (KernelServer, ClusterServer)):
         return _connect(target)
     return _connect(

@@ -34,6 +34,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
@@ -236,7 +237,8 @@ class Board(abc.ABC):
         """A pulse's cell as plain ints and its target as a float,
         checked before anything is written.  NumPy integers pass; a bool
         or a fractional index would address a whole row, no cell or the
-        wrong one, and a target must be finite and non-negative, as
+        wrong one, and a target must be a real number (not a bool, a
+        string, ``None`` or a sequence), finite and non-negative, as
         :meth:`program` requires."""
         for index in (row, col):
             if (isinstance(index, bool)
@@ -247,6 +249,11 @@ class Board(abc.ABC):
             raise BoardError(
                 f"cell ({row}, {col}) outside the {self.rows}x{self.cols} board"
             )
+        if (isinstance(conductance, bool)
+                or not isinstance(conductance, numbers.Real)):
+            raise BoardError(
+                f"pulse target conductance must be a real number, got "
+                f"{type(conductance).__name__} ({conductance!r})")
         if not np.isfinite(conductance) or conductance < 0:
             raise BoardError(
                 f"pulse target conductance must be finite and >= 0, "

@@ -61,7 +61,7 @@ CLASS_PARAMETERS: Dict[ArchitectureClass, ClassParameters] = {
 # The PR 4 constant aliases (WIRE_ENERGY_PER_BIT_M, WIRE_DELAY_PER_M,
 # COMPUTE_ENERGY, COMPUTE_DELAY) are gone; the canonical values live on
 # ``repro.spec.TABLE1.interconnect`` and have for more than two PRs,
-# which is the removal bar the ``_compat`` policy sets.
+# which is the removal bar DESIGN.md's deprecation policy sets.
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from .workload import Workload, dna_workload, parallel_additions_workload
 # ``crossbar.units_per_cluster``, ``dna_crossbar_devices``,
 # ``dna_units``, ``workloads.math_additions``, ``math_clusters``,
 # ``math_storage_devices``) have been stable for more than two PRs,
-# which is the removal bar the ``_compat`` policy sets.
+# which is the removal bar DESIGN.md's deprecation policy sets.
 
 
 # -- unit cost factories (spec -> cost model) -------------------------------

@@ -32,7 +32,7 @@ from .workload import Workload
 
 # The PR 4 ``WORD_BYTES`` alias is gone; the canonical value is
 # ``repro.spec.TABLE1.interconnect.word_bytes`` and has been for more
-# than two PRs, which is the removal bar the ``_compat`` policy sets.
+# than two PRs, which is the removal bar DESIGN.md's deprecation policy sets.
 
 
 @dataclass(frozen=True)

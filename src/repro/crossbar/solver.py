@@ -1539,8 +1539,11 @@ def _junction_variants(
 
 def _check_index(index, kind: str) -> None:
     """Refuse a line index that is not an integer (a Python int or a
-    NumPy integer): a fractional one would land on a wrong node."""
+    NumPy integer): a fractional one would land on a wrong node, and a
+    bool (which Python counts as an int) would silently drive line 1."""
     try:
+        if isinstance(index, bool):
+            raise TypeError
         operator.index(index)
     except TypeError:
         raise CrossbarError(

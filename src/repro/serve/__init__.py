@@ -18,7 +18,7 @@ consistent-hash router, fronted by one uniform client facade.
         result = client.submit(api.request(
             kernel="adder", width=8,
             operands={"a": [1, 2], "b": [3, 4]}))
-        print(result.outputs["sum"])   # (4, 6)
+        print(result.outputs["sum"])   # [4 6], a read-only uint64 array
 
 One ``Client`` protocol (``submit / submit_many / stats / close``)
 fronts every transport: an in-process

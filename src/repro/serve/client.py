@@ -44,14 +44,15 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
-    Tuple,
     Union,
     runtime_checkable,
 )
 
+import numpy as np
+
 from ..errors import DeadlineExceeded, ServeError, ServerOverloaded
 from .cluster import ClusterServer
-from .request import ServeRequest, ServeResult
+from .request import ServeRequest, ServeResult, Words
 from .server import KernelServer
 
 __all__ = ["Client", "JsonlClient", "ServerClient", "connect"]
@@ -369,6 +370,8 @@ def _result_from_wire(
 
     Error records raise the same typed exception the in-process path
     would have raised, re-addressed with the caller's own request id.
+    Output word lists become read-only uint64 arrays, as the servers
+    return them.
     """
     status = str(record.get("status", "error"))
     if status != "ok":
@@ -378,10 +381,11 @@ def _result_from_wire(
         if status == "deadline":
             raise DeadlineExceeded(message)
         raise ServeError(message)
-    outputs: Dict[str, Tuple[int, ...]] = {
-        str(name): tuple(int(word) for word in words)
-        for name, words in dict(record.get("outputs", {})).items()
-    }
+    outputs: Dict[str, Words] = {}
+    for name, words in dict(record.get("outputs", {})).items():
+        array = np.array(words, dtype=np.uint64)
+        array.flags.writeable = False
+        outputs[str(name)] = array
     metrics: Dict[str, float] = {
         str(name): float(value)
         for name, value in dict(record.get("metrics", {})).items()

@@ -51,7 +51,6 @@ from collections import OrderedDict
 from threading import Lock
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Type, Union
 
-from .._compat import ignored_option
 from ..errors import ServeError, ServerOverloaded, TransientExecutorError
 from ..obs.context import new_trace_context
 from ..obs.flight import FlightRecord, FlightRecorder, get_flight_recorder
@@ -102,8 +101,7 @@ class ClusterServer:
     The submit/submit_many/stats/drain surface matches
     :class:`KernelServer`, which is what lets the
     :class:`~repro.serve.client.Client` facade front either
-    interchangeably.  ``max_wait_us`` is a deprecated no-op, as on
-    :class:`KernelServer`.
+    interchangeably.
     """
 
     def __init__(
@@ -114,7 +112,6 @@ class ClusterServer:
         quota: Optional[int] = None,
         vnodes: int = DEFAULT_VNODES,
         max_batch_size: int = 64,
-        max_wait_us: Optional[float] = None,
         queue_limit: int = 1024,
         workers: int = 4,
         retries: int = 2,
@@ -128,7 +125,6 @@ class ClusterServer:
     ) -> None:
         if quota is not None and quota < 1:
             raise ServeError(f"quota must be >= 1 in-flight, got {quota}")
-        ignored_option("ClusterServer(max_wait_us=)", max_wait_us)
         self.router = ShardRouter(shards, replicas=replicas, vnodes=vnodes)
         self.quota = None if quota is None else int(quota)
         self.cache_capacity = int(cache_capacity)

@@ -10,10 +10,12 @@ One request per input line, one JSON result per output line::
     {"id": "e", "status": "ok", ...}
 
 Results stream out in *completion* order (batching reorders), so every
-record echoes its request ``id``.  Failures become
+record echoes its request ``id``.  Every line gets exactly one record:
+any failure while decoding, serving or encoding it becomes
 ``{"id": ..., "status": "rejected" | "deadline" | "error", "error": ...}``
-records rather than crashing the loop, which is what makes an overload
-burst observable without losing accepted requests.
+rather than crashing the loop, which is what makes an overload burst
+observable without losing accepted requests.  Output words travel as
+integer lists.
 """
 
 from __future__ import annotations
@@ -89,12 +91,15 @@ async def _pump(
     lock = asyncio.Lock()
     tasks = []
 
-    async def emit(record: Mapping[str, Any]) -> None:
+    async def emit(text: str) -> None:
         async with lock:
-            out_stream.write(json.dumps(record) + "\n")
+            out_stream.write(text + "\n")
             out_stream.flush()
 
     async def handle(line: str) -> None:
+        # Every line gets exactly one record: whatever fails while
+        # decoding, serving or encoding it becomes its error record, so
+        # a caller waiting on its id never waits forever.
         request_id: Optional[str] = None
         try:
             payload = json.loads(line)
@@ -105,13 +110,17 @@ async def _pump(
             request = request_from_dict(payload)
             request_id = request.id or None
             result = await server.submit(request)
-        except (ReproError, ValueError) as exc:
+            text = json.dumps(result_to_dict(result))
+            status = "cached" if result.cached else "ok"
+        except Exception as exc:  # noqa: BLE001 - one record per line
+            if not isinstance(exc, (ReproError, ValueError)):
+                _LOG.error("request %s failed unexpectedly", request_id,
+                           exc_info=exc)
             record = _error_record(request_id, exc)
-            stats.bump(str(record["status"]))
-            await emit(record)
-        else:
-            stats.bump("cached" if result.cached else "ok")
-            await emit(result_to_dict(result))
+            text = json.dumps(record)
+            status = str(record["status"])
+        stats.bump(status)
+        await emit(text)
 
     try:
         async with server:

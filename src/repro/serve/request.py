@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from ..engine import BACKENDS, CompiledKernel
 from ..errors import EngineError, ServeError
@@ -63,6 +64,9 @@ REQUEST_KINDS: Tuple[str, ...] = ("kernel", "evaluate")
 #: (:mod:`repro.analysis.planner`) pick the backend per request.
 SERVE_BACKENDS: Tuple[str, ...] = tuple(BACKENDS) + ("auto",)
 
+
+#: One output word group: a read-only uint64 vector.
+Words = npt.NDArray[np.uint64]
 
 #: Operand values that ``array.array`` would read as raw memory.
 _BUFFERS = (str, bytes, bytearray, memoryview)
@@ -324,11 +328,14 @@ class ServeResult:
     Failures never become results — they surface as typed
     :class:`~repro.errors.ServeError` subclasses from ``submit`` (the
     JSONL frontend turns them into error records).  ``outputs`` maps
-    word-group name -> integer words (kernel requests; empty for the
-    analytical backend); ``metrics`` carries the Table 2 numbers
-    (evaluate requests).  ``batch_words``/``batch_requests`` record the
-    coalesced batch this request rode in; ``cached`` marks result-cache
-    hits.
+    word-group name -> a read-only ``np.uint64`` word array (kernel
+    requests; empty for the analytical backend).  The arrays are
+    read-only because result-cache hits share them (:meth:`for_request`
+    copies no words); compare with ``.tolist()`` or
+    :func:`numpy.array_equal`, and ``.copy()`` one to modify it.
+    ``metrics`` carries the Table 2 numbers (evaluate requests).
+    ``batch_words``/``batch_requests`` record the coalesced batch this
+    request rode in; ``cached`` marks result-cache hits.
     """
 
     id: str
@@ -336,7 +343,7 @@ class ServeResult:
     kernel: str
     backend: str
     words: int
-    outputs: Mapping[str, Tuple[int, ...]] = field(default_factory=dict)
+    outputs: Mapping[str, Words] = field(default_factory=dict)
     metrics: Mapping[str, float] = field(default_factory=dict)
     energy: float = 0.0
     latency: float = 0.0
@@ -351,7 +358,8 @@ class ServeResult:
     def for_request(
         self, request_id: str, *, cached: bool = False, trace_id: str = ""
     ) -> "ServeResult":
-        """The same payload re-addressed to another submitter."""
+        """The same payload re-addressed to another submitter (the
+        output arrays are shared, not copied)."""
         return replace(
             self, id=request_id, cached=cached,
             trace_id=trace_id or self.trace_id,
@@ -428,6 +436,9 @@ def request_from_dict(payload: Mapping[str, Any]) -> ServeRequest:
     raw_operands = payload.get("operands", {})
     if not isinstance(raw_operands, Mapping):
         raise ServeError("operands must map names to integer word lists")
+    for key in ("params", "overrides"):
+        if not isinstance(payload.get(key, {}), Mapping):
+            raise ServeError(f"{key} must be a JSON object")
     operands: Dict[str, Tuple[int, ...]] = {}
     for name, values in raw_operands.items():
         if not isinstance(values, Sequence) or isinstance(values, (str, bytes)):
@@ -450,7 +461,8 @@ def request_from_dict(payload: Mapping[str, Any]) -> ServeRequest:
 
 
 def result_to_dict(result: ServeResult) -> Dict[str, Any]:
-    """Flatten a :class:`ServeResult` for the JSONL wire format."""
+    """Flatten a :class:`ServeResult` for the JSONL wire format (output
+    words become lists of Python ints)."""
     out: Dict[str, Any] = {
         "id": result.id,
         "status": "ok",
@@ -468,7 +480,7 @@ def result_to_dict(result: ServeResult) -> Dict[str, Any]:
     if result.trace_id:
         out["trace_id"] = result.trace_id
     if result.outputs:
-        out["outputs"] = {k: list(v) for k, v in result.outputs.items()}
+        out["outputs"] = {k: v.tolist() for k, v in result.outputs.items()}
     if result.metrics:
         out["metrics"] = dict(result.metrics)
     return out

@@ -79,7 +79,6 @@ from typing import (
     Union,
 )
 
-from .._compat import ignored_option
 from ..engine import (
     BatchResult,
     coalesce_operand_batches,
@@ -106,7 +105,7 @@ from ..obs.logsetup import get_logger
 from ..obs.registry import LATENCY_BUCKETS, Histogram, Summary, get_registry
 from ..obs.tracing import get_tracer
 from ..spec import TABLE1, TechSpec
-from .request import ServeRequest, ServeResult
+from .request import ServeRequest, ServeResult, Words
 
 __all__ = ["AutoRouter", "KernelServer", "RunBatchFn", "SpecResolver"]
 
@@ -310,15 +309,13 @@ class KernelServer:
     (request-scoped tracing + flight records + latency quantiles; on by
     default, the off switch exists for the A/B overhead benchmark), and
     ``flight`` (the recorder to write to; the process-wide one by
-    default).  ``max_wait_us`` is a deprecated no-op: the batcher has no
-    timer window.
+    default).
     """
 
     def __init__(
         self,
         *,
         max_batch_size: int = 64,
-        max_wait_us: Optional[float] = None,
         queue_limit: int = 1024,
         workers: int = 4,
         retries: int = 2,
@@ -338,7 +335,6 @@ class KernelServer:
             raise ServeError(f"workers must be >= 1, got {workers}")
         if retries < 0:
             raise ServeError(f"retries must be >= 0, got {retries}")
-        ignored_option("KernelServer(max_wait_us=)", max_wait_us)
         self.max_batch_size = int(max_batch_size)
         self.queue_limit = int(queue_limit)
         self.workers = int(workers)
@@ -820,12 +816,14 @@ class KernelServer:
             parts = [batch]
         walls: List[float] = []
         for pending, part in zip(live, parts):
-            outputs: Dict[str, Tuple[int, ...]] = {}
+            # Each group's words stay the uint64 array the engine built,
+            # frozen because cache hits share it.
+            outputs: Dict[str, Words] = {}
             if part.outputs is not None:
-                outputs = {
-                    group: tuple(part.word(group).tolist())
-                    for group in part.word_outputs
-                }
+                for group in part.word_outputs:
+                    words = part.word(group)
+                    words.flags.writeable = False
+                    outputs[group] = words
             result = ServeResult(
                 id=pending.request.id,
                 kind=pending.request.kind,

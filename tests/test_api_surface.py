@@ -8,20 +8,21 @@ policy: an alias is removed once its replacement has been stable for
 two releases, after which it must raise (the CAMMatchCost move to the
 spec layer, the ``repro.serve`` facade redesign;
 ``tests/test_spec_consistency.py`` covers the old Table 1 constant
-aliases), and a dead option — ``max_wait_us`` since the batcher became
-work-conserving — is accepted at each public spelling, ignored, and
-warned about once.
+aliases), and a dead option — ``max_wait_us``, the timer window the
+work-conserving batcher dropped — is refused at each public spelling
+now that its two-release window has closed.
 """
 
 from __future__ import annotations
 
 import inspect
 import io
-import warnings
 
 import pytest
 
-from repro import _compat, api
+from repro import api
+from repro.serve.cluster import ClusterServer
+from repro.serve.server import KernelServer
 
 # The pinned facade: name -> ordered {parameter: default} snapshot.
 # inspect.Parameter.empty (no default) is spelled as the string "<required>".
@@ -70,7 +71,6 @@ EXPECTED_SIGNATURES = {
         "replicas": "1",
         "quota": "None",
         "max_batch_size": "64",
-        "max_wait_us": "None",
         "queue_limit": "1024",
         "workers": "4",
         "retries": "2",
@@ -98,7 +98,6 @@ EXPECTED_SIGNATURES = {
         "replicas": "1",
         "quota": "None",
         "max_batch_size": "64",
-        "max_wait_us": "None",
         "queue_limit": "1024",
         "workers": "4",
         "retries": "2",
@@ -219,32 +218,14 @@ REMOVED_ALIASES = [
 ]
 
 
-def _max_wait_us_spellings(tmp_path):
-    """Each public spelling that still accepts ``max_wait_us``, called
-    with a value the old window validation refused."""
-    from repro.__main__ import main
-    from repro.serve.cluster import ClusterServer
-    from repro.serve.server import KernelServer
-
-    empty = tmp_path / "empty.jsonl"
-    empty.write_text("")
-    add = api.request(kernel="adder", width=8, backend="functional",
-                      operands={"a": [1], "b": [2]})
-
-    def connect():
-        with api.connect(max_wait_us=-1.0) as client:
-            assert client.submit(add).outputs["sum"] == (3,)
-
-    return {
-        "KernelServer(max_wait_us=)": lambda: KernelServer(max_wait_us=-1.0),
-        "ClusterServer(max_wait_us=)":
-            lambda: ClusterServer(max_wait_us=-1.0),
-        "api.connect(max_wait_us=)": connect,
-        "api.serve(max_wait_us=)": lambda: api.serve(
-            input=io.StringIO(""), output=io.StringIO(), max_wait_us=-1.0),
-        "repro serve --max-wait-us": lambda: main(
-            ["serve", "--input", str(empty), "--max-wait-us", "-1"]),
-    }
+# The public spellings that took ``max_wait_us`` until its removal.
+MAX_WAIT_US_SPELLINGS = {
+    "KernelServer": lambda: KernelServer(max_wait_us=0.0),
+    "ClusterServer": lambda: ClusterServer(max_wait_us=0.0),
+    "api.connect": lambda: api.connect(max_wait_us=0.0),
+    "api.serve": lambda: api.serve(
+        input=io.StringIO(""), output=io.StringIO(), max_wait_us=0.0),
+}
 
 
 class TestDeprecationPolicy:
@@ -256,28 +237,20 @@ class TestDeprecationPolicy:
         with pytest.raises(AttributeError):
             getattr(module, name)
 
-    def test_max_wait_us_is_accepted_ignored_and_warned_once(self, tmp_path):
-        """Every public spelling takes the dead knob (even a value the
-        old window refused), forwards nothing, and warns once per
-        process; callers that never pass it never warn."""
-        for spelling, call in _max_wait_us_spellings(tmp_path).items():
-            _compat._WARNED.discard(spelling)
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-                call()
-            messages = [str(w.message) for w in caught
-                        if issubclass(w.category, DeprecationWarning)]
-            assert len(messages) == 1, (spelling, messages)
-            assert messages[0].startswith(spelling), messages
-            assert "ignored" in messages[0]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            from repro.serve.server import KernelServer
+    @pytest.mark.parametrize("spelling", sorted(MAX_WAIT_US_SPELLINGS))
+    def test_max_wait_us_is_refused(self, spelling):
+        with pytest.raises(TypeError, match="max_wait_us"):
+            MAX_WAIT_US_SPELLINGS[spelling]()
 
-            KernelServer()
-            with api.connect():
-                pass
+    def test_cli_max_wait_us_is_refused(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--input", str(empty), "--max-wait-us", "10"])
+        assert exit_info.value.code == 2
+        assert "--max-wait-us" in capsys.readouterr().err
 
     def test_unknown_attribute_still_raises(self):
         import repro.serve

@@ -157,7 +157,9 @@ class TestIdealBoard:
         (np.True_, 1, 5e-4, "integer"), (1.5, 0, 5e-4, "integer"),
         (0, 2.0, 5e-4, "integer"), ("1", 0, 5e-4, "integer"),
         (1, 1, float("nan"), "finite"), (1, 1, float("inf"), "finite"),
-        (1, 1, -1e-4, "finite")])
+        (1, 1, -1e-4, "finite"), (1, 1, None, "real number"),
+        (1, 1, "1e-4", "real number"), (1, 1, [1e-4], "real number"),
+        (1, 1, True, "real number")])
     @pytest.mark.parametrize("kind", ["ideal", "noisy"])
     def test_refused_pulse_changes_nothing(self, kind, row, col, target, why):
         """A bool once rewrote a whole row (or nothing), a float raised a

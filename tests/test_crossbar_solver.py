@@ -173,6 +173,33 @@ class TestValidation:
         with pytest.raises(CrossbarError, match=f"variant col {match}"):
             solve_junction_variants(g, {0: 1.0}, {0: 0.0}, [(0, bad, 1e-5)])
 
+    @pytest.mark.parametrize("bad", [True, False])
+    def test_rejects_bool_line_index(self, bad):
+        """Python counts a bool as an int, so {True: v} once drove row
+        1 and a (True, 0, g) variant crashed inside NumPy; both are
+        refused by name, on the board too."""
+        g = np.full((4, 4), 1e-4)
+        match = re.escape(f"index {bad!r} must be an integer")
+        for solve in (solve_ideal_wires, solve_with_wire_resistance):
+            with pytest.raises(CrossbarError, match=f"row {match}"):
+                solve(g, {bad: 0.2}, {0: 0.0})
+            with pytest.raises(CrossbarError, match=f"col {match}"):
+                solve(g, {0: 0.2}, {bad: 0.0})
+        with pytest.raises(CrossbarError, match=f"row {match}"):
+            solve_junction_variants(g, {bad: 0.2}, {0: 0.0}, [(1, 1, 1e-5)])
+        with pytest.raises(CrossbarError, match=f"variant row {match}"):
+            solve_junction_variants(g, {0: 0.2}, {0: 0.0}, [(bad, 0, 1e-5)])
+        with pytest.raises(CrossbarError, match=f"variant col {match}"):
+            solve_junction_variants(g, {0: 0.2}, {0: 0.0}, [(0, bad, 1e-5)])
+        board = IdealSimBoard(4, 4)
+        board.program(g)
+        stats = board.stats.as_dict()
+        with pytest.raises(CrossbarError, match=f"variant row {match}"):
+            board.read_iv_variants({0: 0.2}, {0: 0.0}, [(bad, 0, g)])
+        with pytest.raises(CrossbarError, match=f"row {match}"):
+            board.read_iv_variants({bad: 0.2}, {0: 0.0}, [(1, 1, 1e-5)])
+        assert board.stats.as_dict() == stats
+
     def test_numpy_integer_indices_are_accepted(self):
         g = np.full((4, 4), 1e-4)
         clear_factorization_cache()

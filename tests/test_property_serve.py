@@ -286,8 +286,8 @@ class ServingModel(RuleBasedStateMachine):
             operands = self.requests[rid].operands
             alone = run_kernel(resolve_kernel("adder", 8),
                                {k: list(v) for k, v in operands.items()})
-            assert result.outputs["sum"] == tuple(
-                int(w) for w in alone.word("sum"))
+            assert (result.outputs["sum"].tolist()
+                    == alone.word("sum").tolist())
             assert result.energy == pytest.approx(alone.energy, rel=1e-12)
             assert result.steps_per_word == alone.steps_per_word
 

@@ -42,6 +42,11 @@ from repro.serve.server import KernelServer
 from repro.spec import TABLE1
 
 
+def output_lists(result):
+    """A result's outputs as plain lists, for equality checks."""
+    return {group: array.tolist() for group, array in result.outputs.items()}
+
+
 def adder_request(request_id, a, b, *, width=8, **kwargs):
     return ServeRequest(
         id=request_id,
@@ -247,8 +252,8 @@ class TestMalformedRequestsFailAlone:
                 ], return_exceptions=True)
 
         first, error, second = run(scenario())
-        assert first.outputs["sum"] == (11, 22, 33)
-        assert second.outputs["sum"] == (15,)
+        assert first.outputs["sum"].tolist() == [11, 22, 33]
+        assert second.outputs["sum"].tolist() == [15]
         assert first.batch_requests == second.batch_requests == 2
         return error
 
@@ -281,7 +286,7 @@ class TestMalformedRequestsFailAlone:
                     return_exceptions=True)
 
         good, error = run(scenario())
-        assert good.outputs["match"] == (1,)
+        assert good.outputs["match"].tolist() == [1]
         assert isinstance(error, EngineError)
         assert "operand 'a0' word 0 = 2 is not a bit (0/1)" in str(error)
 
@@ -295,8 +300,8 @@ class TestBatchingAndCache:
                 ])
 
         results = run(scenario())
-        assert [r.outputs["sum"] for r in results] == [
-            (10 + 2 * i,) for i in range(6)]
+        assert [r.outputs["sum"].tolist() for r in results] == [
+            [10 + 2 * i] for i in range(6)]
         # All six rode one coalesced engine execution.
         assert {r.batch_requests for r in results} == {6}
         assert {r.batch_words for r in results} == {6}
@@ -312,8 +317,8 @@ class TestBatchingAndCache:
         by_id = {r.id: r for r in run(scenario())}
         assert by_id["a"].batch_requests == 1
         assert by_id["b"].batch_requests == 1
-        assert by_id["a"].outputs["sum"] == (3,)
-        assert by_id["b"].outputs["sum"] == (7,)
+        assert by_id["a"].outputs["sum"].tolist() == [3]
+        assert by_id["b"].outputs["sum"].tolist() == [7]
 
     def test_repeat_submission_hits_result_cache(self):
         async def scenario():
@@ -326,7 +331,7 @@ class TestBatchingAndCache:
         assert not first.cached
         assert second.cached
         assert second.id == "two"
-        assert second.outputs == first.outputs
+        assert output_lists(second) == output_lists(first)
 
     def test_cache_capacity_evicts_lru(self):
         async def scenario():
@@ -379,7 +384,7 @@ class TestBatchingAndCache:
                 return base, hot
 
         base, hot = run(scenario())
-        assert base.outputs == hot.outputs
+        assert output_lists(base) == output_lists(hot)
         assert base.spec_digest != hot.spec_digest
         assert hot.energy > base.energy
 
@@ -433,8 +438,8 @@ class TestWorkConservingBatching:
         hold, results = run(scenario())
         assert hold.batch_requests == 1
         assert [r.batch_requests for r in results] == [n] * n
-        assert [r.outputs["sum"] for r in results] == [
-            (2 * i,) for i in range(n)]
+        assert [r.outputs["sum"].tolist() for r in results] == [
+            [2 * i] for i in range(n)]
         assert calls == [1, n]
 
     def test_lone_request_on_an_idle_server_arms_no_timer(self):
@@ -456,7 +461,7 @@ class TestWorkConservingBatching:
                     del loop.call_at
 
         result = run(scenario())
-        assert result.outputs["sum"] == (3,)
+        assert result.outputs["sum"].tolist() == [3]
         assert result.batch_requests == 1
         assert timers == []
 
@@ -481,7 +486,7 @@ class TestQueueFullRejection:
         # Every *accepted* request completed with the right answer.
         for result in served:
             i = int(result.id[1:])
-            assert result.outputs["sum"] == (2 * i,)
+            assert result.outputs["sum"].tolist() == [2 * i]
 
     def test_queue_limit_validation(self):
         with pytest.raises(ServeError):
@@ -517,7 +522,7 @@ class TestDeadlines:
                 return await slow
 
         result = run(scenario())
-        assert result.outputs["sum"] == (3,)
+        assert result.outputs["sum"].tolist() == [3]
 
     def test_answer_landing_with_the_deadline_counts_once(self):
         """Regression: when the batch's answer and the deadline timer
@@ -568,7 +573,7 @@ class TestDeadlines:
             assert isinstance(outcome, DeadlineExceeded)
             assert record.status == "deadline" and delta["deadline"] == 1
         else:
-            assert outcome.outputs["sum"] == (3,)
+            assert outcome.outputs["sum"].tolist() == [3]
             assert record.status == "ok" and delta["ok"] == 1
 
     def test_generous_deadline_still_succeeds(self):
@@ -577,7 +582,7 @@ class TestDeadlines:
                 return await server.submit(
                     adder_request("ok", [2], [3], deadline_s=30.0))
 
-        assert run(scenario()).outputs["sum"] == (5,)
+        assert run(scenario()).outputs["sum"].tolist() == [5]
 
 
 class TestRetries:
@@ -597,7 +602,7 @@ class TestRetries:
             ) as server:
                 return await server.submit(adder_request("r", [4], [5]))
 
-        assert run(scenario()).outputs["sum"] == (9,)
+        assert run(scenario()).outputs["sum"].tolist() == [9]
         assert len(attempts) == 3
 
     def test_retry_exhaustion_surfaces_original_error(self):
@@ -658,8 +663,8 @@ class TestDrain:
             return server, results
 
         server, results = run(scenario())
-        assert [r.outputs["sum"] for r in results] == [
-            (0,), (2,), (4,), (6,)]
+        assert [r.outputs["sum"].tolist() for r in results] == [
+            [0], [2], [4], [6]]
 
         async def after_close():
             await server.submit(adder_request("late", [1], [1]))
@@ -674,7 +679,7 @@ class TestDrain:
             assert server._closed
             return result
 
-        assert run(scenario()).outputs["sum"] == (3,)
+        assert run(scenario()).outputs["sum"].tolist() == [3]
 
 
 class TestJsonlFrontend:
@@ -700,6 +705,52 @@ class TestJsonlFrontend:
         assert records["a"]["outputs"]["sum"] == [4, 6]
         assert records["c"]["outputs"]["match"] == [1]
         assert records["bad"]["status"] == "error"
+
+    def test_every_line_gets_exactly_one_record(self):
+        """Lines that fail with a non-serve exception (a list width, a
+        null params) still get their error record, between good lines,
+        and the loop returns its stats at EOF."""
+        good = {"kernel": "adder", "width": 8,
+                "operands": {"a": [1], "b": [2]}}
+        lines = [dict(good, id="first"),
+                 dict(good, id="wide", width=[8]),
+                 dict(good, id="null", params=None),
+                 dict(good, id="last", operands={"a": [3], "b": [4]})]
+        out = io.StringIO()
+        stats = serve_jsonl(
+            io.StringIO("".join(json.dumps(line) + "\n" for line in lines)),
+            out)
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert sorted(r["id"] for r in records) == [
+            "first", "last", "null", "wide"]
+        by_id = {r["id"]: r for r in records}
+        assert by_id["first"]["outputs"]["sum"] == [3]
+        assert by_id["last"]["outputs"]["sum"] == [7]
+        assert by_id["wide"]["status"] == by_id["null"]["status"] == "error"
+        assert "params" in by_id["null"]["error"]
+        assert stats.counts == {"ok": 2, "error": 2}
+
+    def test_unencodable_result_becomes_an_error_record(self):
+        class Unencodable(KernelServer):
+            async def submit(self, request):
+                result = await super().submit(request)
+                if request.id == "odd":
+                    return dataclasses.replace(result,
+                                               metrics={"x": object()})
+                return result
+
+        text = "".join(json.dumps(
+            {"id": rid, "kernel": "adder", "width": 8,
+             "operands": {"a": [1], "b": [2]}}) + "\n"
+            for rid in ("even", "odd"))
+        out = io.StringIO()
+        stats = serve_jsonl(io.StringIO(text), out, server=Unencodable())
+        records = {r["id"]: r
+                   for r in map(json.loads, out.getvalue().splitlines())}
+        assert records["even"]["status"] == "ok"
+        assert records["odd"]["status"] == "error"
+        assert "JSON serializable" in records["odd"]["error"]
+        assert stats.counts == {"ok": 1, "error": 1}
 
     def test_metrics_port_serves_while_pumping(self, caplog):
         """The exporter, imported only for ``metrics_port=``, answers
@@ -748,7 +799,7 @@ class TestAutoRouting:
 
         result = run(scenario())
         assert result.backend == "functional"
-        assert result.outputs["sum"] == (4, 6)
+        assert result.outputs["sum"].tolist() == [4, 6]
         assert counter.value == before + 1
 
     def test_auto_large_batch_routes_bitplane(self):
@@ -760,7 +811,7 @@ class TestAutoRouting:
 
         result = run(scenario())
         assert result.backend == "functional_bitplane"
-        assert result.outputs["sum"] == tuple(2 * i for i in range(100))
+        assert result.outputs["sum"].tolist() == [2 * i for i in range(100)]
 
     def test_auto_operandless_routes_analytical(self):
         async def scenario():
@@ -788,7 +839,7 @@ class TestAutoRouting:
         explicit, auto = run(scenario())
         assert not explicit.cached
         assert auto.cached
-        assert auto.outputs == explicit.outputs
+        assert output_lists(auto) == output_lists(explicit)
 
     def test_auto_batched_billing_is_bit_identical_to_solo(self):
         """Acceptance: auto-routed requests coalesce with explicit ones
@@ -808,7 +859,7 @@ class TestAutoRouting:
         assert auto.batch_requests == 2 and explicit.batch_requests == 2
         alone = run_kernel(resolve_kernel("adder", 8),
                            {"a": [1, 2, 3], "b": [4, 5, 6]})
-        assert auto.outputs["sum"] == tuple(int(w) for w in alone.word("sum"))
+        assert np.array_equal(auto.outputs["sum"], alone.word("sum"))
         assert auto.energy == alone.energy
         assert auto.steps_per_word == alone.steps_per_word
 
@@ -891,8 +942,8 @@ class TestBatchedEqualsSequential:
             )
             assert result.words == alone.words
             for group in alone.word_outputs:
-                assert result.outputs[group] == tuple(
-                    int(w) for w in alone.word(group)), (
+                assert np.array_equal(
+                    result.outputs[group], alone.word(group)), (
                     f"{request.kernel} outputs diverged under batching")
             assert result.energy == pytest.approx(alone.energy, rel=1e-12)
 

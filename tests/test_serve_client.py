@@ -8,6 +8,9 @@ same typed errors, same ``submit/submit_many/stats/close`` shape.
 
 from __future__ import annotations
 
+import dataclasses
+import threading
+
 import pytest
 
 from repro import api
@@ -39,7 +42,7 @@ class TestConnectTargets:
             assert isinstance(client, ServerClient)
             assert isinstance(client.server, KernelServer)
             result = client.submit(add_request("one", 2, 3))
-            assert result.outputs["sum"] == (5,)
+            assert result.outputs["sum"].tolist() == [5]
             assert client.stats()["transport"] == "local"
 
     def test_local_upgrades_to_cluster_when_sharded(self):
@@ -54,11 +57,11 @@ class TestConnectTargets:
         with connect("cluster") as client:
             assert isinstance(client.server, ClusterServer)
             result = client.submit(add_request("c", 10, 20))
-            assert result.outputs["sum"] == (30,)
+            assert result.outputs["sum"].tolist() == [30]
 
     def test_instance_target_wraps_without_options(self):
         with connect(KernelServer()) as client:
-            assert client.submit(add_request("i", 1, 1)).outputs["sum"] == (2,)
+            assert client.submit(add_request("i", 1, 1)).outputs["sum"].tolist() == [2]
         with pytest.raises(ServeError, match="not both"):
             connect(KernelServer(), max_batch_size=4)
         with pytest.raises(ServeError, match="not both"):
@@ -77,7 +80,7 @@ class TestConnectTargets:
     def test_api_connect_is_the_facade_entry_point(self):
         with api.connect(target="local") as client:
             assert isinstance(client, Client)
-            assert client.submit(add_request("a", 4, 4)).outputs["sum"] == (8,)
+            assert client.submit(add_request("a", 4, 4)).outputs["sum"].tolist() == [8]
 
 
 class TestServerClient:
@@ -90,7 +93,7 @@ class TestServerClient:
                 [add_request("ok", 1, 2),
                  api.request(id="bad", kernel="no-such-kernel", width=8)],
                 return_exceptions=True)
-            assert outcomes[0].outputs["sum"] == (3,)
+            assert outcomes[0].outputs["sum"].tolist() == [3]
             # In-process the engine's own typed error comes through;
             # over the wire it would arrive as a ServeError record.
             assert isinstance(outcomes[1], EngineError)
@@ -110,7 +113,7 @@ class TestJsonlClient:
             result = client.submit(add_request("mine", 7, 8))
             # The wire used a minted id; the caller sees their own.
             assert result.id == "mine"
-            assert result.outputs["sum"] == (15,)
+            assert result.outputs["sum"].tolist() == [15]
             stats = client.stats()
             assert stats["transport"] == "jsonl"
             assert stats["counts"].get("ok") == 1
@@ -124,13 +127,14 @@ class TestJsonlClient:
             in_process = local.submit_many(requests)
         for w, p in zip(over_wire, in_process):
             assert w.id == p.id
-            assert w.outputs == p.outputs
+            assert ({k: v.tolist() for k, v in w.outputs.items()}
+                    == {k: v.tolist() for k, v in p.outputs.items()})
             assert w.energy == p.energy  # json round-trips doubles exactly
 
     def test_clustered_jsonl(self):
         with connect("jsonl", shards=2) as client:
             result = client.submit(add_request("sharded", 3, 9))
-            assert result.outputs["sum"] == (12,)
+            assert result.outputs["sum"].tolist() == [12]
 
     def test_wire_errors_map_to_typed_exceptions(self):
         with connect("jsonl") as client:
@@ -139,7 +143,31 @@ class TestJsonlClient:
                     api.request(id="bad", kernel="no-such-kernel", width=8))
             # The loop keeps serving after an error record.
             assert client.submit(add_request("after", 1, 1)).outputs[
-                "sum"] == (2,)
+                "sum"].tolist() == [2]
+
+    def test_server_side_failure_raises_instead_of_hanging(self):
+        """A line the serve loop cannot encode still answers: the
+        submit raises ServeError (bounded, so a regression fails here
+        instead of hanging)."""
+        class Unencodable(KernelServer):
+            async def submit(self, request):
+                result = await super().submit(request)
+                return dataclasses.replace(result, metrics={"x": object()})
+
+        outcome = {}
+
+        with connect("jsonl", server=Unencodable()) as client:
+            def call():
+                try:
+                    client.submit(add_request("odd", 1, 1))
+                except ServeError as exc:
+                    outcome["error"] = exc
+
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(timeout=30)
+            assert not caller.is_alive(), "JsonlClient.submit hung"
+        assert "JSON serializable" in str(outcome["error"])
 
     def test_error_record_mapping_table(self):
         """rejected/deadline/error wire statuses -> the typed errors."""

@@ -44,6 +44,11 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def output_lists(result):
+    """A result's outputs as plain lists, for equality checks."""
+    return {group: array.tolist() for group, array in result.outputs.items()}
+
+
 def adder_request(request_id, a, b, *, width=8, **kwargs):
     return ServeRequest(
         id=request_id,
@@ -155,7 +160,7 @@ class TestClusterServing:
         results, stats = run(scenario())
         for i, result in enumerate(results):
             assert result.id == f"r{i}"
-            assert result.outputs["sum"] == (2 * i + 1,)
+            assert result.outputs["sum"].tolist() == [2 * i + 1]
         assert stats["servers"] == 6
         assert len(stats["shard_stats"]) == 6
 
@@ -172,7 +177,7 @@ class TestClusterServing:
         assert not first.cached
         assert repeat.cached
         assert repeat.id == "again"
-        assert repeat.outputs == first.outputs
+        assert output_lists(repeat) == output_lists(first)
         # One entry, held at the front door — the per-shard caches are
         # disabled in favour of the shared one.
         assert stats["cache_entries"] == 1
@@ -193,7 +198,7 @@ class TestClusterServing:
         explicit, auto = run(scenario())
         assert not explicit.cached
         assert auto.cached
-        assert auto.outputs == explicit.outputs
+        assert output_lists(auto) == output_lists(explicit)
 
     def test_quota_sheds_hot_tenant_before_admission(self):
         release = threading.Event()
@@ -230,9 +235,9 @@ class TestClusterServing:
                 return served, cold, retry
 
         served, cold, retry = run(scenario())
-        assert served.outputs["sum"] == (3,)
-        assert cold.outputs["sum"] == (11,)
-        assert retry.outputs["sum"] == (15,)
+        assert served.outputs["sum"].tolist() == [3]
+        assert cold.outputs["sum"].tolist() == [11]
+        assert retry.outputs["sum"].tolist() == [15]
 
     def test_shard_backpressure_propagates_and_loses_nothing(self):
         release = threading.Event()
@@ -264,7 +269,7 @@ class TestClusterServing:
         assert rejected, "queue_limit=2 under a 16-request burst must shed"
         for result in served:
             i = int(result.id[1:])
-            assert result.outputs["sum"] == (2 * i,), (
+            assert result.outputs["sum"].tolist() == [2 * i], (
                 "an accepted request was lost or corrupted by shedding")
 
     def test_drain_closes_the_front_door(self):
@@ -339,7 +344,7 @@ class TestClusterBillingMatchesSolo:
             assert result.id == request.id
             assert result.words == alone.words
             for group in alone.word_outputs:
-                assert result.outputs[group] == tuple(
-                    int(w) for w in alone.word(group)), (
+                assert (result.outputs[group].tolist()
+                        == alone.word(group).tolist()), (
                     f"{request.kernel} outputs diverged through the cluster")
             assert result.energy == pytest.approx(alone.energy, rel=1e-12)

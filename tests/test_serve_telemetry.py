@@ -190,7 +190,7 @@ class TestFlightRecords:
                 return await server.submit(adder_request("r", [1], [2]))
 
         result = run(scenario())
-        assert result.outputs["sum"] == (3,)
+        assert result.outputs["sum"].tolist() == [3]
         assert len(recorder) == 0
         assert result.trace_id == ""
 

@@ -2,7 +2,7 @@
 
 PR 4 made :data:`repro.spec.TABLE1` that source, keeping the old
 module-level constants as deprecated aliases; PR 10 removed the aliases
-(replacements stable for more than two PRs, the ``_compat`` removal
+(replacements stable for more than two PRs, the DESIGN.md deprecation
 bar).  This suite pins the spec values **by exact float equality** (bit
 identity matters: the Table 2 golden test below pins the reproduced
 metrics to their pre-refactor hex representations), asserts the removed
