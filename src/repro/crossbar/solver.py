@@ -19,7 +19,8 @@ arithmetic (no Python double loop) and solved through one of two
 backends:
 
 * ``sparse`` — :func:`scipy.sparse.linalg.splu` on the CSC form of the
-  2·R·C-node conductance matrix.  SciPy is the optional ``repro[fast]``
+  2·R·C-node conductance matrix, ordered by SuperLU's own symmetric
+  minimum-degree ordering.  SciPy is the optional ``repro[fast]``
   extra, imported on the first factorization that needs it; when it is
   importable this backend is the default and there is no array-size cap
   (256x256 and beyond are routine).
@@ -584,63 +585,16 @@ def _assemble_full(
     return a
 
 
-@lru_cache(maxsize=8)
-def _grid_nd_order(rows: int, cols: int) -> np.ndarray:
-    """Nested-dissection node order for the 2·R·C crossbar grid graph.
-
-    The wire-resistance node graph is a quasi-2D grid: each cross-point
-    carries a row-side and a column-side node (joined by its junction),
-    row wires chain along ``c`` and column wires along ``r``.  Ordering
-    the *cells* by recursive bisection (separator line emitted last,
-    both nodes of a cell kept adjacent) and handing SuperLU the
-    pre-permuted matrix with ``permc_spec="NATURAL"`` roughly halves
-    both factor time and LU fill versus COLAMD on a 256x256 array —
-    COLAMD cannot see the grid geometry in the sparsity pattern alone.
-    """
-    rc = rows * cols
-    order: List[int] = []
-
-    def emit(r: int, c: int) -> None:
-        i = r * cols + c
-        order.append(i)
-        order.append(rc + i)
-
-    def rec(r0: int, r1: int, c0: int, c1: int) -> None:
-        h, w = r1 - r0, c1 - c0
-        if h <= 0 or w <= 0:
-            return
-        if h * w <= 4:
-            for r in range(r0, r1):
-                for c in range(c0, c1):
-                    emit(r, c)
-            return
-        if h >= w:
-            mid = (r0 + r1) // 2
-            rec(r0, mid, c0, c1)
-            rec(mid + 1, r1, c0, c1)
-            for c in range(c0, c1):
-                emit(mid, c)
-        else:
-            mid = (c0 + c1) // 2
-            rec(r0, r1, c0, mid)
-            rec(r0, r1, mid + 1, c1)
-            for r in range(r0, r1):
-                emit(r, mid)
-
-    rec(0, rows, 0, cols)
-    return np.array(order, dtype=np.intp)
-
-
-def _make_solve(
-    a_red, backend: str, perm: Optional[np.ndarray] = None
-) -> Callable[[np.ndarray], np.ndarray]:
+def _make_solve(a_red, backend: str) -> Callable[[np.ndarray], np.ndarray]:
     """Factor the reduced system once; return a solve closure.
 
     The closure accepts a 1-D right-hand side *or* an ``(n, k)``
     multi-column block — sweeps of same-structure drive patterns go
-    through the factorization as one multi-RHS solve.  *perm* (sparse
-    backend) pre-permutes the system into the grid nested-dissection
-    order so SuperLU factors it with ``permc_spec="NATURAL"``.
+    through the factorization as one multi-RHS solve.  The sparse
+    backend lets SuperLU order the system by multiple minimum degree on
+    the pattern of ``Aᵀ + A`` (that of ``A`` itself: the nodal matrix is
+    symmetric) and pivot on the diagonal where it can, so the closure is
+    ``lu.solve`` itself, with no permutation of its own around it.
     """
     n = a_red.shape[0]
     if n == 0:
@@ -648,20 +602,11 @@ def _make_solve(
     if backend == "sparse":
         _, splu = _scipy_sparse()
         try:
-            if perm is not None:
-                inverse = np.empty_like(perm)
-                inverse[perm] = np.arange(perm.size)
-                lu = splu(
-                    a_red[perm][:, perm].tocsc(),
-                    permc_spec="NATURAL",
-                    options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
-                )
-
-                def _solve_nd(b: np.ndarray) -> np.ndarray:
-                    return lu.solve(np.asarray(b)[perm])[inverse]
-
-                return _solve_nd
-            lu = splu(a_red.tocsc())
+            lu = splu(
+                a_red.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                options=dict(SymmetricMode=True, DiagPivotThresh=0.01),
+            )
         except RuntimeError as exc:
             raise CrossbarError("singular crossbar system") from exc
         return lu.solve
@@ -683,6 +628,11 @@ def _build_factorization(
     driver_resistance: float,
     backend: str,
 ) -> _Factorization:
+    """A real cache entry: assemble the nodal system of *g* with the
+    given drivers and resistances, eliminate pinned driver nodes (when
+    drivers are ideal), and factor what remains (:func:`_make_solve`).
+    The solve works in the reduced index space as assembled; ``position``
+    maps a node to it."""
     rows, cols = g.shape
     rc = rows * cols
     n = 2 * rc
@@ -714,12 +664,6 @@ def _build_factorization(
         a_up = None
     position = np.full(n, -1, dtype=np.intp)
     position[unknown] = np.arange(unknown.size, dtype=np.intp)
-    perm = None
-    if backend == "sparse":
-        # Map the grid nested-dissection node order onto the reduced
-        # (unknown-only) index space, preserving ND order.
-        nd_positions = position[_grid_nd_order(rows, cols)]
-        perm = nd_positions[nd_positions >= 0]
     fact = _Factorization(
         backend=backend,
         n_nodes=n,
@@ -730,7 +674,7 @@ def _build_factorization(
         g_drv=g_drv,
         a_red=a_red,
         a_up=a_up,
-        solve=_make_solve(a_red, backend, perm),
+        solve=_make_solve(a_red, backend),
         g=g.copy(),
     )
     fact.columns = _Columns(fact)
@@ -816,6 +760,9 @@ class _Columns:
         self.l_z = np.empty((size, fact.g.shape[1]))
         # B's transpose, formed once: SciPy re-forms it on every ``.T``.
         self.b_t = None if fact.a_up is None else -fact.a_up.T
+        # L_u as each unknown's column line and coefficient, formed once.
+        self.line_u = fact.unknown % fact.g.shape[1]
+        self.coef_u = _line_coefficients(fact)[fact.unknown]
 
     def __len__(self) -> int:
         return len(self.slot)
@@ -853,15 +800,12 @@ def _base_columns(
         z = base.solve(_u_columns(pi[missing], pj[missing], base.unknown.size))
         if not np.isfinite(z).all():
             raise CrossbarError("singular crossbar system")
-        x = np.zeros((base.n_nodes, len(missing)))
-        x[base.unknown] = z
-        lines = base.g.shape[1]
-        l_z = (_line_coefficients(base)[:, None] * x).reshape(
-            -1, lines, len(missing)).sum(axis=0)
         z_b = (np.empty((0, len(missing))) if memo.b_t is None
                else memo.b_t @ z)
         for n, k in enumerate(missing):
-            rows[keys[k]] = (z[:, n], z_b[:, n], l_z[:, n])
+            l_z = np.bincount(memo.line_u, memo.coef_u * z[:, n],
+                              minlength=memo.l_z.shape[1])
+            rows[keys[k]] = (z[:, n], z_b[:, n], l_z)
     with _CACHE_LOCK:
         memo = base.columns
         absent = [cell for cell in keys if cell not in memo.slot]

@@ -247,15 +247,19 @@ class JsonlClient:
             slot.fail(ServeError("jsonl server closed before responding"))
 
     def _post(self, request: ServeRequest) -> "ResponseSlot":
+        # Encode first and register the slot only once its line is
+        # written: a request that cannot be encoded leaves nothing
+        # pending.  The reader pops slots under the same lock, so a
+        # response cannot overtake its registration.
         wire_id = f"w{next(self._wire_ids)}"
+        line = json.dumps(_request_to_wire(request, wire_id)) + "\n"
         slot = ResponseSlot(request)
         with self._lock:
             if self._closed:
                 raise ServeError("client is closed")
-            self._pending[wire_id] = slot
-            payload = _request_to_wire(request, wire_id)
-            self._requests.write(json.dumps(payload) + "\n")
+            self._requests.write(line)
             self._requests.flush()
+            self._pending[wire_id] = slot
         return slot
 
     # -- Client protocol -----------------------------------------------------
@@ -348,7 +352,8 @@ def _request_to_wire(request: ServeRequest, wire_id: str) -> Dict[str, Any]:
         payload["kernel"] = request.kernel
     if request.operands:
         payload["operands"] = {
-            name: list(values) for name, values in request.operands.items()
+            name: [int(value) for value in values]
+            for name, values in request.operands.items()
         }
     if request.params:
         payload["params"] = dict(request.params)

@@ -38,7 +38,7 @@ import json
 import operator
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 import numpy.typing as npt
@@ -415,6 +415,16 @@ def make_request(
     )
 
 
+def _wire_number(key: str, value: Any, kind: Callable[[Any], Any]) -> Any:
+    """``kind(value)`` for wire field *key*, refused as a
+    :class:`ServeError` naming *key* when it is not such a number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ServeError(
+            f"{key} must be a number, got {value!r}") from None
+
+
 def request_from_dict(payload: Mapping[str, Any]) -> ServeRequest:
     """Build a :class:`ServeRequest` from one decoded JSONL object."""
     if not isinstance(payload, Mapping):
@@ -449,12 +459,13 @@ def request_from_dict(payload: Mapping[str, Any]) -> ServeRequest:
         id=str(payload.get("id", "")),
         kind=kind,
         kernel=str(payload.get("kernel", "")),
-        width=int(payload.get("width", 32)),
+        width=_wire_number("width", payload.get("width", 32), int),
         operands=operands,
         backend=backend,
         params=dict(payload.get("params", {})),
         overrides=dict(payload.get("overrides", {})),
-        deadline_s=None if deadline is None else float(deadline),
+        deadline_s=(None if deadline is None
+                    else _wire_number("deadline_s", deadline, float)),
         trace_id=str(payload.get("trace_id", "")),
         tenant=str(payload.get("tenant", "")),
     )

@@ -730,6 +730,33 @@ class TestJsonlFrontend:
         assert "params" in by_id["null"]["error"]
         assert stats.counts == {"ok": 2, "error": 2}
 
+    def test_malformed_numbers_are_refused_by_name(self, caplog):
+        """A width or deadline that is not a number is a ServeError
+        naming the field: one error record each, nothing logged as an
+        unexpected failure."""
+        good = {"kernel": "adder", "width": 8,
+                "operands": {"a": [1], "b": [2]}}
+        lines = [dict(good, id="list", width=[8]),
+                 dict(good, id="text", width="x"),
+                 dict(good, id="soon", deadline_s="soon"),
+                 dict(good, id="ok")]
+        caplog.set_level(logging.ERROR, logger="repro.serve.frontend")
+        out = io.StringIO()
+        stats = serve_jsonl(
+            io.StringIO("".join(json.dumps(line) + "\n" for line in lines)),
+            out)
+        records = [json.loads(line) for line in out.getvalue().splitlines()]
+        by_id = {r["id"]: r for r in records}
+        assert len(records) == len(by_id) == 4
+        assert by_id["ok"]["outputs"]["sum"] == [3]
+        for rid, field_name in (("list", "width"), ("text", "width"),
+                                ("soon", "deadline_s")):
+            assert by_id[rid]["status"] == "error"
+            assert by_id[rid]["error"].startswith(field_name), by_id[rid]
+        assert stats.counts == {"ok": 1, "error": 3}
+        assert not [r for r in caplog.records
+                    if "unexpectedly" in r.getMessage()]
+
     def test_unencodable_result_becomes_an_error_record(self):
         class Unencodable(KernelServer):
             async def submit(self, request):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import threading
 
+import numpy as np
 import pytest
 
 from repro import api
@@ -130,6 +131,32 @@ class TestJsonlClient:
             assert ({k: v.tolist() for k, v in w.outputs.items()}
                     == {k: v.tolist() for k, v in p.outputs.items()})
             assert w.energy == p.energy  # json round-trips doubles exactly
+
+    def test_uint64_operands_cross_the_wire(self):
+        """A request built with NumPy uint64 operands (which the local
+        servers take as they are) is encoded as Python ints, answered
+        as in process, and leaves no slot pending."""
+        request = dataclasses.replace(
+            add_request("np", 0, 0),
+            operands={"a": np.array([1, 200, 255], dtype=np.uint64),
+                      "b": np.array([2, 100, 1], dtype=np.uint64)})
+        with connect("jsonl") as wire, connect("local") as local:
+            over_wire = wire.submit(request)
+            in_process = local.submit(request)
+            assert wire.stats()["pending"] == 0
+        assert over_wire.outputs.keys() == in_process.outputs.keys()
+        for name, words in in_process.outputs.items():
+            assert over_wire.outputs[name].tolist() == words.tolist()
+
+    def test_unencodable_request_leaves_nothing_pending(self):
+        request = dataclasses.replace(
+            add_request("odd", 0, 0), params={"x": object()})
+        with connect("jsonl") as client:
+            with pytest.raises(TypeError):
+                client.submit(request)
+            assert client.stats()["pending"] == 0
+            assert client.submit(add_request("after", 1, 2)).outputs[
+                "sum"].tolist() == [3]
 
     def test_clustered_jsonl(self):
         with connect("jsonl", shards=2) as client:
