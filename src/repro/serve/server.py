@@ -2,11 +2,11 @@
 
 Dataflow (DESIGN.md section 8)::
 
-    submit() ──▶ digest cache ──▶ bounded queue ──▶ batcher ──▶ worker pool
-                    │  hit               │ full         │ free worker │
+    submit() ──▶ digest cache ──▶ bounded queue ──▶ batcher ──▶ executor thread
+                    │  hit               │ full         │ slot free   │
                     ▼                    ▼              ▼             ▼
                  cached result    ServerOverloaded   coalesce     engine batch
-                                                     by key     ──▶ split ──▶ futures
+                                                     by key     ──▶ slice ──▶ futures
 
 * **Per-request checks** — a kernel request's operands are checked on
   their own before it is queued
@@ -18,15 +18,22 @@ Dataflow (DESIGN.md section 8)::
   :class:`~repro.errors.ServerOverloaded` *before* accepting it, so an
   overload burst never corrupts or delays already-accepted work.
 * **Work-conserving batching** — the batcher takes the first queued
-  request, waits for a free worker, then takes whatever else is
+  request, waits for the executor, then takes whatever else is
   already queued, up to ``max_batch_size`` requests; there is no
-  timer.  Requests that arrive while every worker is busy pile up and
-  coalesce; a request that finds a worker idle waits for nothing.
-  The batch is grouped by
-  :meth:`~repro.serve.request.ServeRequest.batch_key` and each group coalesces its members' memoised operand arrays into
-  one engine execution
+  timer.  Requests that arrive while the executor is busy pile up and
+  coalesce; a request that finds it idle waits for nothing.  One
+  engine execution runs at a time, on one executor thread: the
+  executors are GIL-bound NumPy, so a second concurrent execution only
+  contends for the interpreter instead of adding throughput.  The
+  execution slot is held only while an execution runs, never across a
+  retry backoff.  The batch is grouped by
+  :meth:`~repro.serve.request.ServeRequest.batch_key` and each group
+  coalesces its members' memoised operand arrays into one engine
+  execution
   (:func:`~repro.engine.coalesce_operand_batches` ➜
-  :func:`~repro.engine.run_kernel` ➜ :meth:`~repro.engine.BatchResult.split`).
+  :func:`~repro.engine.run_kernel`); each member gets its slice of the
+  batch's output words and its share of the bill, exactly what
+  :meth:`~repro.engine.BatchResult.split` would give it.
 * **Deadlines** — each request may carry ``deadline_s``; expiry
   cancels the submitter's wait with
   :class:`~repro.errors.DeadlineExceeded` and drops the request from
@@ -38,12 +45,12 @@ Dataflow (DESIGN.md section 8)::
 * **Result cache** — completed results are kept in a digest-keyed LRU;
   repeat submissions return immediately (``cached=True``).
 * **Drain** — :meth:`KernelServer.drain` stops intake, lets every
-  queued and in-flight request finish, then shuts the pool down;
+  queued and in-flight request finish, then shuts the executor down;
   ``async with KernelServer(...)`` drains on exit.
 
 Telemetry (all always-on unless ``telemetry=False``): per-request
 trace propagation (``trace_id``/``request_id`` riding
-:mod:`repro.obs.context` through the batcher onto the worker pool, so
+:mod:`repro.obs.context` through the batcher onto the executor thread, so
 engine spans executed inside a coalesced batch carry the request
 identity), a :class:`~repro.obs.flight.FlightRecord` per request with
 stage timings (``queue_wait`` / ``batch_wait`` / ``execute`` /
@@ -63,6 +70,7 @@ import contextvars
 import json
 import threading
 import time
+import warnings
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -74,6 +82,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Type,
     Union,
@@ -110,6 +119,24 @@ from .request import ServeRequest, ServeResult, Words
 __all__ = ["AutoRouter", "KernelServer", "RunBatchFn", "SpecResolver"]
 
 _LOG = get_logger("serve")
+
+_WARNED: Set[str] = set()
+
+
+def ignored_option(spelling: str, value: Any) -> None:
+    """Warn once per process that *spelling* was passed; it is ignored.
+
+    The serving layer's deprecation policy (DESIGN.md section 12): a
+    dead option defaults to ``None`` and is never forwarded, and a
+    caller passing anything else gets one :class:`DeprecationWarning`
+    per spelling (e.g. ``"KernelServer(workers=)"``) per process.
+    """
+    if value is None or spelling in _WARNED:
+        return
+    _WARNED.add(spelling)
+    warnings.warn(f"{spelling} is deprecated and ignored; stop passing it",
+                  DeprecationWarning, stacklevel=3)
+
 
 #: Injectable batch executor: ``(request, operands, spec) -> BatchResult``.
 #: *request* is the group's representative; *operands* the coalesced
@@ -295,9 +322,8 @@ class KernelServer:
     """Asyncio front door for kernel execution and evaluation requests.
 
     See the module docstring for the dataflow.  All methods must be
-    called from one running event loop; the heavy lifting happens on a
-    ``workers``-sized thread pool, with at most ``workers`` batches in
-    flight.
+    called from one running event loop; engine executions run one at a
+    time on a single executor thread.
 
     Parameters mirror the serving knobs: ``max_batch_size`` (the most
     requests one batch takes), ``queue_limit``
@@ -309,7 +335,8 @@ class KernelServer:
     (request-scoped tracing + flight records + latency quantiles; on by
     default, the off switch exists for the A/B overhead benchmark), and
     ``flight`` (the recorder to write to; the process-wide one by
-    default).
+    default).  ``workers`` is a deprecated no-op: there is one executor
+    thread.
     """
 
     def __init__(
@@ -317,7 +344,7 @@ class KernelServer:
         *,
         max_batch_size: int = 64,
         queue_limit: int = 1024,
-        workers: int = 4,
+        workers: Optional[int] = None,
         retries: int = 2,
         backoff_s: float = 0.005,
         cache_capacity: int = 1024,
@@ -331,13 +358,11 @@ class KernelServer:
             raise ServeError(f"max_batch_size must be >= 1, got {max_batch_size}")
         if queue_limit < 1:
             raise ServeError(f"queue_limit must be >= 1, got {queue_limit}")
-        if workers < 1:
-            raise ServeError(f"workers must be >= 1, got {workers}")
         if retries < 0:
             raise ServeError(f"retries must be >= 0, got {retries}")
+        ignored_option("KernelServer(workers=)", workers)
         self.max_batch_size = int(max_batch_size)
         self.queue_limit = int(queue_limit)
-        self.workers = int(workers)
         self.retries = int(retries)
         self.backoff_s = float(backoff_s)
         self.cache_capacity = int(cache_capacity)
@@ -354,7 +379,8 @@ class KernelServer:
         self._queue: Optional["asyncio.Queue[Union[_Pending, _Stop]]"] = None
         self._batcher_task: Optional["asyncio.Task[None]"] = None
         self._inflight: "set[asyncio.Task[None]]" = set()
-        self._sem: Optional[asyncio.Semaphore] = None
+        # Held while an engine execution runs on the executor thread.
+        self._slot: Optional[asyncio.Lock] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         self._draining = False
         self._closed = False
@@ -399,15 +425,15 @@ class KernelServer:
                 raise ServeError("server is draining; not accepting requests")
             if self._queue is None:
                 self._queue = asyncio.Queue()
-            if self._sem is None:
-                self._sem = asyncio.Semaphore(self.workers)
+            if self._slot is None:
+                self._slot = asyncio.Lock()
             self._pool = self._pool or ThreadPoolExecutor(
-                max_workers=self.workers, thread_name_prefix="repro-serve")
+                max_workers=1, thread_name_prefix="repro-serve")
             self._batcher_task = asyncio.get_running_loop().create_task(
                 self._batch_loop(), name="repro-serve-batcher")
 
     async def drain(self) -> None:
-        """Stop intake, finish all accepted work, release the pool."""
+        """Stop intake, finish all accepted work, release the executor."""
         if self._closed:
             return
         self._draining = True
@@ -610,14 +636,14 @@ class KernelServer:
     async def _batch_loop(self) -> None:
         """Dispatch work-conserving batches until the drain sentinel.
 
-        Take the first queued request, wait for a free worker, then take
+        Take the first queued request, wait for the executor, then take
         whatever else is already queued (up to ``max_batch_size``) —
-        no timer.  While every worker is busy the queue fills, so load
+        no timer.  While an execution runs the queue fills, so load
         coalesces; an idle server dispatches a lone request at once.
         """
         loop = asyncio.get_running_loop()
-        assert self._queue is not None and self._sem is not None
-        queue, sem = self._queue, self._sem
+        assert self._queue is not None and self._slot is not None
+        queue, slot = self._queue, self._slot
         stopping = False
         while not stopping:
             first = await queue.get()
@@ -625,7 +651,7 @@ class KernelServer:
                 break
             self._mark_dequeued(first)
             batch: List[_Pending] = [first]
-            async with sem:  # wait for a free worker; the group takes it
+            async with slot:  # wait for the running execution to finish
                 pass
             while len(batch) < self.max_batch_size:
                 try:
@@ -677,17 +703,21 @@ class KernelServer:
         fn: Callable[[], Any],
         kernel_name: str,
         trace: Optional[TraceContext] = None,
-    ) -> Tuple[Any, int]:
-        """Run *fn* on the pool; retry transient failures with backoff.
+    ) -> Tuple[Any, int, float]:
+        """Run *fn* on the executor; retry transient failures with backoff.
 
-        Returns ``(result, retries_used)``.  When *trace* is given it is
-        bound into the context the pool thread runs under —
-        ``run_in_executor`` does **not** propagate contextvars by
-        itself, so without the explicit ``copy_context().run`` the
-        engine spans inside *fn* could not see the request identity.
+        Returns ``(result, retries_used, started)``, *started* being when
+        the first attempt got the execution slot.  The slot is held only
+        while an attempt runs: a backoff sleep releases it, so another
+        group executes meanwhile.  When *trace* is given it is bound into
+        the context the executor thread runs under — ``run_in_executor``
+        does **not** propagate contextvars by itself, so without the
+        explicit ``copy_context().run`` the engine spans inside *fn*
+        could not see the request identity.
         """
         loop = asyncio.get_running_loop()
-        assert self._pool is not None
+        assert self._pool is not None and self._slot is not None
+        pool, slot = self._pool, self._slot
         call = fn
         if trace is not None:
             token = bind_trace(trace)
@@ -697,9 +727,14 @@ class KernelServer:
                 unbind_trace(token)
             call = lambda: snapshot.run(fn)  # noqa: E731 - tiny adapter
         original: Optional[BaseException] = None
+        started = 0.0
         for attempt in range(self.retries + 1):
             try:
-                return await loop.run_in_executor(self._pool, call), attempt
+                async with slot:
+                    if not attempt:
+                        started = time.perf_counter()
+                    result = await loop.run_in_executor(pool, call)
+                return result, attempt, started
             except self.transient as exc:
                 if original is None:
                     original = exc
@@ -710,65 +745,61 @@ class KernelServer:
         raise ServeError(f"unreachable retry state for {kernel_name}")
 
     async def _run_group(self, members: Sequence[_Pending]) -> None:
-        """Coalesce, execute (with retries), split, respond, cache."""
-        assert self._sem is not None
-        async with self._sem:
-            live = self._expire(members)
-            if not live:
+        """Coalesce, execute (with retries), slice, respond, cache."""
+        live = self._expire(members)
+        if not live:
+            return
+        representative = live[0]
+        request = representative.request
+        spec = representative.spec
+        name = request.kernel or request.kind
+        _BATCH_SIZE.observe(len(live))
+        try:
+            if request.kind == "evaluate":
+                await self._run_evaluate_group(live)
                 return
-            representative = live[0]
-            request = representative.request
-            spec = representative.spec
-            name = request.kernel or request.kind
-            _BATCH_SIZE.observe(len(live))
-            try:
-                if request.kind == "evaluate":
-                    await self._run_evaluate_group(live)
-                    return
-                merged: Optional[Dict[str, Any]] = None
-                sizes = [p.request.words for p in live]
-                if request.operands:
-                    merged_map, sizes = coalesce_operand_batches(
-                        [p.request.operand_arrays() for p in live])
-                    merged = dict(merged_map)
-                total_words = sum(sizes)
-                _BATCH_WORDS.observe(total_words)
-                # The span is opened *after* the awaited execution and
-                # backdated: concurrent groups interleave on the event
-                # loop, so holding it open across the await would close
-                # spans out of LIFO order.
-                started = time.perf_counter()
-                batch, retries_used = await self._execute_with_retry(
-                    lambda: self._run_batch(request, merged, spec), name,
-                    trace=representative.trace)
-                executed = time.perf_counter()
-                self._stamp_group(live, started, executed, retries_used,
-                                  len(live), total_words)
-                attrs: Dict[str, Any] = dict(
-                    requests=len(live), words=total_words,
-                    backend=request.backend, spec=spec.short_digest)
-                if representative.trace is not None:
-                    attrs["trace_id"] = representative.trace.trace_id
-                    attrs["request_ids"] = self._request_ids(live)
-                with get_tracer().span(f"serve/{name}", **attrs) as span:
-                    span.backdate(started)
-                    span.add_sim(energy=batch.energy, latency=batch.latency,
-                                 steps=batch.steps_per_word * batch.words)
-                self._respond_kernel(live, batch, sizes, total_words)
-            except asyncio.CancelledError:
-                raise
-            except BaseException as exc:  # noqa: BLE001 - fanned out to futures
-                for pending in live:
-                    if not pending.future.done():
-                        _REQUESTS["error"].inc()
-                        pending.future.set_exception(exc)
-                    self._finalize_flight(pending, "error", error=repr(exc))
+            merged: Optional[Dict[str, Any]] = None
+            sizes = [p.request.words for p in live]
+            if request.operands:
+                merged_map, sizes = coalesce_operand_batches(
+                    [p.request.operand_arrays() for p in live])
+                merged = dict(merged_map)
+            total_words = sum(sizes)
+            _BATCH_WORDS.observe(total_words)
+            # The span is opened *after* the awaited execution and
+            # backdated: concurrent groups interleave on the event
+            # loop, so holding it open across the await would close
+            # spans out of LIFO order.
+            batch, retries_used, started = await self._execute_with_retry(
+                lambda: self._run_batch(request, merged, spec), name,
+                trace=representative.trace)
+            executed = time.perf_counter()
+            self._stamp_group(live, started, executed, retries_used,
+                              len(live), total_words)
+            attrs: Dict[str, Any] = dict(
+                requests=len(live), words=total_words,
+                backend=request.backend, spec=spec.short_digest)
+            if representative.trace is not None:
+                attrs["trace_id"] = representative.trace.trace_id
+                attrs["request_ids"] = self._request_ids(live)
+            with get_tracer().span(f"serve/{name}", **attrs) as span:
+                span.backdate(started)
+                span.add_sim(energy=batch.energy, latency=batch.latency,
+                             steps=batch.steps_per_word * batch.words)
+            self._respond_kernel(live, batch, sizes, total_words)
+        except asyncio.CancelledError:
+            raise
+        except BaseException as exc:  # noqa: BLE001 - fanned out to futures
+            for pending in live:
+                if not pending.future.done():
+                    _REQUESTS["error"].inc()
+                    pending.future.set_exception(exc)
+                self._finalize_flight(pending, "error", error=repr(exc))
 
     async def _run_evaluate_group(self, live: Sequence[_Pending]) -> None:
         representative = live[0]
         request, spec = representative.request, representative.spec
-        started = time.perf_counter()
-        metrics, retries_used = await self._execute_with_retry(
+        metrics, retries_used, started = await self._execute_with_retry(
             lambda: _run_evaluate(request, spec), request.kind,
             trace=representative.trace)
         executed = time.perf_counter()
@@ -806,34 +837,50 @@ class KernelServer:
         sizes: Sequence[int],
         total_words: int,
     ) -> None:
-        if not live[0].request.operands:
-            # Operand-less (analytical) members of one group are
-            # content-identical by construction: one execution serves all.
-            parts = [batch] * len(live)
-        elif len(live) > 1 or batch.words != sizes[0]:
-            parts = batch.split(sizes)
-        else:
-            parts = [batch]
+        """Answer each member with its slice of the batch.
+
+        Each word group is assembled once for the whole batch and frozen
+        (cache hits share the arrays); members get read-only slices of
+        it.  Energy is billed per word and latency once per lock-step
+        batch — bit for bit what :meth:`BatchResult.split` bills.
+        """
+        groups: Dict[str, Words] = {}
+        if batch.outputs is not None:
+            for group in batch.word_outputs:
+                words = batch.word(group)
+                words.flags.writeable = False
+                groups[group] = words
+        # Operand-less (analytical) members of one group are
+        # content-identical by construction: one execution serves all.
+        whole = (not live[0].request.operands
+                 or (len(live) == 1 and batch.words == sizes[0]))
+        energy_per_word = 0.0
+        if not whole:
+            if sum(sizes) != batch.words:
+                raise EngineError(f"member sizes sum to {sum(sizes)}, "
+                                  f"batch has {batch.words} words")
+            energy_per_word = batch.energy / batch.words
         walls: List[float] = []
-        for pending, part in zip(live, parts):
-            # Each group's words stay the uint64 array the engine built,
-            # frozen because cache hits share it.
-            outputs: Dict[str, Words] = {}
-            if part.outputs is not None:
-                for group in part.word_outputs:
-                    words = part.word(group)
-                    words.flags.writeable = False
-                    outputs[group] = words
+        offset = 0
+        for pending, size in zip(live, sizes):
+            if whole:
+                outputs, words_billed, energy = (
+                    dict(groups), batch.words, batch.energy)
+            else:
+                outputs = {group: words[offset:offset + size]
+                           for group, words in groups.items()}
+                words_billed, energy = size, energy_per_word * size
+                offset += size
             result = ServeResult(
                 id=pending.request.id,
                 kind=pending.request.kind,
                 kernel=batch.kernel,
                 backend=batch.backend,
-                words=part.words,
+                words=words_billed,
                 outputs=outputs,
-                energy=part.energy,
-                latency=part.latency,
-                steps_per_word=part.steps_per_word,
+                energy=energy,
+                latency=batch.latency,
+                steps_per_word=batch.steps_per_word,
                 spec_digest=pending.spec.digest,
                 batch_words=total_words,
                 batch_requests=len(live),
@@ -984,7 +1031,7 @@ class KernelServer:
             return {
                 "queue_depth": self._queue.qsize() if self._queue else 0,
                 "inflight_batches": len(self._inflight),
-                "workers": self.workers,
+                "workers": 1,
                 "cache_entries": len(self._cache),
                 "flight_capacity": self._flight.capacity,
                 "telemetry": self.telemetry,

@@ -10,17 +10,21 @@ spec layer, the ``repro.serve`` facade redesign;
 ``tests/test_spec_consistency.py`` covers the old Table 1 constant
 aliases), and a dead option — ``max_wait_us``, the timer window the
 work-conserving batcher dropped — is refused at each public spelling
-now that its two-release window has closed.
+now that its two-release window has closed.  ``workers``, dead since
+each server runs one engine execution at a time, is inside its window:
+each spelling warns once per process and forwards nothing.
 """
 
 from __future__ import annotations
 
 import inspect
 import io
+import warnings
 
 import pytest
 
 from repro import api
+from repro.serve import server as server_module
 from repro.serve.cluster import ClusterServer
 from repro.serve.server import KernelServer
 
@@ -72,7 +76,7 @@ EXPECTED_SIGNATURES = {
         "quota": "None",
         "max_batch_size": "64",
         "queue_limit": "1024",
-        "workers": "4",
+        "workers": "None",
         "retries": "2",
         "cache_capacity": "1024",
         "spec": "None",
@@ -99,7 +103,7 @@ EXPECTED_SIGNATURES = {
         "quota": "None",
         "max_batch_size": "64",
         "queue_limit": "1024",
-        "workers": "4",
+        "workers": "None",
         "retries": "2",
         "cache_capacity": "1024",
         "spec": "None",
@@ -228,6 +232,33 @@ MAX_WAIT_US_SPELLINGS = {
 }
 
 
+def _connect_and_close(**options):
+    with api.connect(**options) as client:
+        return client.stats()
+
+
+def _cli_serve(tmp_path, *flags):
+    from repro.__main__ import main
+
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    return main(["serve", "--input", str(empty), *flags])
+
+
+# The public spellings of ``workers``, each called with the option.
+WORKERS_SPELLINGS = {
+    "KernelServer(workers=)": lambda tmp_path: KernelServer(
+        workers=3).stats(),
+    "ClusterServer(workers=)": lambda tmp_path: ClusterServer(
+        workers=3).stats(),
+    "api.connect(workers=)": lambda tmp_path: _connect_and_close(workers=3),
+    "api.serve(workers=)": lambda tmp_path: api.serve(
+        input=io.StringIO(""), output=io.StringIO(), workers=3),
+    "repro serve --workers": lambda tmp_path: _cli_serve(
+        tmp_path, "--workers", "3"),
+}
+
+
 class TestDeprecationPolicy:
     @pytest.mark.parametrize("module_name,name", REMOVED_ALIASES)
     def test_removed_alias_raises(self, module_name, name):
@@ -251,6 +282,26 @@ class TestDeprecationPolicy:
             main(["serve", "--input", str(empty), "--max-wait-us", "10"])
         assert exit_info.value.code == 2
         assert "--max-wait-us" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spelling", sorted(WORKERS_SPELLINGS))
+    def test_workers_warns_once_and_is_ignored(self, spelling, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(server_module, "_WARNED", set())
+        call = WORKERS_SPELLINGS[spelling]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = call(tmp_path)
+        # One warning, naming this spelling: a forwarded value would
+        # also warn from the server constructor it reached.
+        assert [str(w.message).split(" is ")[0] for w in caught] == [
+            spelling]
+        assert caught[0].category is DeprecationWarning
+        if isinstance(outcome, dict):
+            per_server = outcome.get("servers", 1)
+            assert outcome["workers"] == per_server
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            call(tmp_path)  # the second use in a process stays quiet
 
     def test_unknown_attribute_still_raises(self):
         import repro.serve

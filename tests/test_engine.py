@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.engine import (
     BACKENDS,
@@ -26,6 +27,7 @@ from repro.engine import (
     word_comparator_kernel,
 )
 from repro.compiler import random_network
+from repro.engine.packing import assemble_words
 from repro.errors import EngineError
 from repro.logic.adders import ripple_adder_program
 from repro.obs.registry import get_registry
@@ -105,6 +107,26 @@ class TestPacking:
             values = np.arange(5, dtype=np.uint64) % (1 << min(width, 62))
             assert np.array_equal(
                 unpack_words(pack_words(values, width)), values)
+
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(1, 64),
+           words=st.sampled_from([1, 63, 64, 65, 4096]),
+           seed=st.integers(0, 2**32 - 1),
+           fill=st.sampled_from(["random", "ones", "zeros"]))
+    def test_assemble_words_matches_int_oracle(self, width, words, seed,
+                                               fill):
+        if fill == "random":
+            bits = np.random.default_rng(seed).integers(
+                0, 2, (width, words), dtype=np.uint8)
+        else:
+            bits = np.full((width, words), fill == "ones", dtype=np.uint8)
+        lanes = list(bits)
+        assembled = assemble_words(lanes)
+        assert assembled.dtype == np.uint64
+        assert assembled.shape == (words,)
+        oracle = [sum(int(lane[w]) << i for i, lane in enumerate(lanes))
+                  for w in range(words)]
+        assert assembled.tolist() == oracle
 
 
 class TestKernelCache:

@@ -79,14 +79,13 @@ class ServingModel(RuleBasedStateMachine):
     """Random serving traffic against one gated server at a time."""
 
     @initialize(
-        workers=st.integers(1, 2),
         queue_limit=st.integers(2, 5),
         max_batch_size=st.integers(1, 4),
         cache_capacity=st.sampled_from([0, 8]),
     )
-    def setup(self, workers, queue_limit, max_batch_size, cache_capacity):
+    def setup(self, queue_limit, max_batch_size, cache_capacity):
         self.options = dict(
-            workers=workers, queue_limit=queue_limit,
+            queue_limit=queue_limit,
             max_batch_size=max_batch_size, cache_capacity=cache_capacity,
             retries=1, backoff_s=1e-4)
         self.loop = asyncio.new_event_loop()

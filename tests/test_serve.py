@@ -18,6 +18,7 @@ import json
 import logging
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -401,9 +402,9 @@ class TestBatchingAndCache:
 
 
 class TestWorkConservingBatching:
-    """The batcher waits for a free worker, never for a timer: requests
-    coalesce because they queued behind busy workers, and a request
-    that finds a worker idle runs at once."""
+    """The batcher waits for the executor, never for a timer: requests
+    coalesce because they queued behind a running execution, and a
+    request that finds the executor idle runs at once."""
 
     def test_requests_queued_behind_a_busy_worker_coalesce(self):
         started, release = threading.Event(), threading.Event()
@@ -420,7 +421,7 @@ class TestWorkConservingBatching:
         n = 5
 
         async def scenario():
-            async with KernelServer(workers=1, run_batch=gated,
+            async with KernelServer(run_batch=gated,
                                     cache_capacity=0) as server:
                 hold = asyncio.ensure_future(
                     server.submit(adder_request("hold", [0], [0])))
@@ -464,6 +465,80 @@ class TestWorkConservingBatching:
         assert result.outputs["sum"].tolist() == [3]
         assert result.batch_requests == 1
         assert timers == []
+
+
+class TestOneExecutionAtATime:
+    """Each server runs one engine execution at a time, whatever
+    ``workers`` says, and holds the slot only while an execution runs."""
+
+    def test_two_callers_never_overlap_executions(self):
+        lock = threading.Lock()
+        running, overlaps, calls = [0], [0], []
+
+        def counting(request, operands, spec):
+            with lock:
+                running[0] += 1
+                overlaps[0] = max(overlaps[0], running[0])
+                calls.append(request.width)
+            time.sleep(0.005)  # wide enough for a second pool thread
+            with lock:
+                running[0] -= 1
+            return run_kernel(resolve_kernel(request.kernel, request.width),
+                              operands or {}, spec=spec)
+
+        async def caller(server, width, rounds):
+            # Distinct widths never share a batch key, so two callers'
+            # requests stay separate groups that could run side by side.
+            return [await server.submit(adder_request(
+                f"w{width}-{i}", [i], [i], width=width))
+                for i in range(rounds)]
+
+        async def scenario():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                server = KernelServer(workers=2, run_batch=counting,
+                                      cache_capacity=0)
+            async with server:
+                return await asyncio.gather(caller(server, 8, 12),
+                                            caller(server, 16, 12))
+
+        narrow, wide = run(scenario())
+        assert [r.outputs["sum"].tolist() for r in narrow + wide] == [
+            [2 * i] for i in range(12)] * 2
+        assert sorted(set(calls)) == [8, 16]
+        assert overlaps[0] == 1
+
+    def test_backoff_releases_the_slot(self):
+        order = []
+        failed_once = threading.Event()
+
+        def flaky_narrow(request, operands, spec):
+            if request.width == 8 and not failed_once.is_set():
+                failed_once.set()
+                order.append("narrow failed")
+                raise TransientExecutorError("injected")
+            order.append(f"width {request.width}")
+            return run_kernel(resolve_kernel(request.kernel, request.width),
+                              operands or {}, spec=spec)
+
+        async def scenario():
+            async with KernelServer(run_batch=flaky_narrow, retries=1,
+                                    backoff_s=0.5) as server:
+                # Submitted in one loop turn, so one batch holds both
+                # groups; the narrow one runs first and fails.
+                narrow = asyncio.ensure_future(server.submit(
+                    adder_request("narrow", [1], [2])))
+                wide = asyncio.ensure_future(server.submit(
+                    adder_request("wide", [3], [4], width=16)))
+                wide_result = await wide
+                narrow_pending = not narrow.done()
+                return await narrow, wide_result, narrow_pending
+
+        narrow, wide, narrow_pending = run(scenario())
+        assert order == ["narrow failed", "width 16", "width 8"]
+        assert narrow_pending, "the wide group waited out the backoff"
+        assert narrow.outputs["sum"].tolist() == [3]
+        assert wide.outputs["sum"].tolist() == [7]
 
 
 class TestQueueFullRejection:
@@ -510,7 +585,7 @@ class TestDeadlines:
 
         async def scenario():
             async with KernelServer(
-                workers=1, max_batch_size=1, run_batch=slow_run_batch,
+                max_batch_size=1, run_batch=slow_run_batch,
             ) as server:
                 slow = asyncio.ensure_future(
                     server.submit(adder_request("slow", [1], [2])))
@@ -650,8 +725,7 @@ class TestDrain:
                               operands or {}, spec=spec)
 
         async def scenario():
-            server = KernelServer(workers=2,
-                                  run_batch=slow_run_batch)
+            server = KernelServer(run_batch=slow_run_batch)
             tasks = [
                 asyncio.ensure_future(
                     server.submit(adder_request(f"r{i}", [i], [i])))
@@ -989,8 +1063,7 @@ def test_stats_snapshot_is_consistent_under_concurrency():
     stop = threading.Event()
 
     async def scenario():
-        async with KernelServer(workers=2,
-                                cache_capacity=capacity) as server:
+        async with KernelServer(cache_capacity=capacity) as server:
             def hammer():
                 while not stop.is_set():
                     try:
@@ -1018,7 +1091,7 @@ def test_stats_snapshot_is_consistent_under_concurrency():
     assert not errors, errors[:3]
     assert snapshots, "the stats hammer never ran"
     for snap in snapshots:
-        assert snap["workers"] == 2
+        assert snap["workers"] == 1
         assert 0 <= snap["cache_entries"] <= capacity, (
             "torn snapshot: cache seen above capacity mid-evict")
         assert snap["queue_depth"] >= 0

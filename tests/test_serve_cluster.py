@@ -208,7 +208,7 @@ class TestClusterServing:
             return _default_run_batch(request, operands, spec)
 
         async def scenario():
-            async with ClusterServer(shards=1, quota=1, workers=1,
+            async with ClusterServer(shards=1, quota=1,
                                      run_batch=gated_run_batch) as cluster:
                 hot = asyncio.ensure_future(cluster.submit(adder_request(
                     "hot", [1], [2], tenant="tenant-hot")))
@@ -249,7 +249,7 @@ class TestClusterServing:
         burst = [adder_request(f"b{i}", [i], [i]) for i in range(16)]
 
         async def scenario():
-            async with ClusterServer(shards=1, workers=1, max_batch_size=1,
+            async with ClusterServer(shards=1, max_batch_size=1,
                                      queue_limit=2, cache_capacity=0,
                                      run_batch=gated_run_batch) as cluster:
                 pending = [asyncio.ensure_future(cluster.submit(r))

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import api
+from repro.engine import resolve_kernel, run_kernel
 from repro.serve import result_to_dict
 from repro.serve.cluster import ClusterServer
 from repro.serve.server import KernelServer
@@ -85,3 +86,36 @@ def test_result_to_dict_writes_integer_lists():
     assert all(type(word) is int
                for words in record["outputs"].values() for word in words)
     assert json.loads(json.dumps(record))["outputs"] == FIRST
+
+
+def test_coalesced_members_bill_and_answer_like_split():
+    """Members get read-only slices of one assembled batch, billed bit
+    for bit as :meth:`BatchResult.split` bills them."""
+    batches = []
+
+    def capture(request, operands, spec):
+        batch = run_kernel(resolve_kernel(request.kernel, request.width),
+                           operands or {}, backend=request.backend,
+                           spec=spec)
+        batches.append(batch)
+        return batch
+
+    members = [adder("p", [1, 2, 3], [4, 5, 6]), adder("q", [250], [9]),
+               adder("r", [7, 8], [1, 1])]
+
+    async def scenario():
+        async with KernelServer(run_batch=capture) as server:
+            return await server.submit_many(members)
+
+    results = asyncio.run(scenario())
+    assert len(batches) == 1
+    parts = batches[0].split([3, 1, 2])
+    for result, part in zip(results, parts):
+        assert result.batch_requests == 3
+        assert result.words == part.words
+        assert result.energy == part.energy
+        assert result.latency == part.latency
+        assert result.steps_per_word == part.steps_per_word
+        assert_frozen_words(result, {group: part.word(group).tolist()
+                                     for group in part.word_outputs})
+

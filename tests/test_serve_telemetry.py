@@ -90,7 +90,7 @@ class TestFlightRecords:
                               operands or {}, spec=spec)
 
         async def scenario():
-            async with KernelServer(workers=1, max_batch_size=1,
+            async with KernelServer(max_batch_size=1,
                                     run_batch=slow,
                                     flight=recorder) as server:
                 blocker = asyncio.ensure_future(
@@ -292,7 +292,7 @@ class TestStats:
                 return server.stats()
 
         stats = run(scenario())
-        assert stats["workers"] == 4
+        assert stats["workers"] == 1
         assert stats["telemetry"] is True
         assert stats["cache_entries"] == 1
         assert stats["queue_depth"] == 0
